@@ -129,9 +129,9 @@ type CPLDS struct {
 	stamp uint32 // low 32 bits of the current batch number
 
 	// batchDir is the flat batch-edge index: both directed copies of every
-	// applied batch edge, sorted by (U, V). Endpoint lookups binary-search
-	// it; the buffer is truncated and reused across batches instead of
-	// rebuilding a map.
+	// applied batch edge, sorted by (U, V), for endpoint lookups by binary
+	// search. It is the list the graph sorted to apply the batch
+	// (graph.Dynamic.LastBatchDirected), borrowed until the batch ends.
 	batchDir []graph.Edge
 
 	// marked is the lock-free marked-vertex arena: VertexMoving claims a
@@ -228,23 +228,13 @@ func (c *CPLDS) DeleteBatch(edges []graph.Edge) int { return c.P.DeleteBatch(edg
 // --- plds.Tracker implementation (update-side protocol) ---
 
 // BatchStart begins a batch: takes the sync gate, bumps the batch number
-// and rebuilds the flat batch-edge index (in the reused buffer) for
-// marked-batch-neighbour lookups.
-func (c *CPLDS) BatchStart(kind plds.Kind, applied []graph.Edge) {
+// and borrows the graph's sorted directed copy of the applied edges as the
+// flat batch-edge index for marked-batch-neighbour lookups.
+func (c *CPLDS) BatchStart(kind plds.Kind, _ []graph.Edge) {
 	c.gate.Lock()
 	c.stamp = uint32(c.batchNum.Add(1))
 	c.kind = kind
-	dir := c.batchDir[:0]
-	for _, e := range applied {
-		dir = append(dir, e, graph.Edge{U: e.V, V: e.U})
-	}
-	slices.SortFunc(dir, func(a, b graph.Edge) int {
-		if a.U != b.U {
-			return cmp.Compare(a.U, b.U)
-		}
-		return cmp.Compare(a.V, b.V)
-	})
-	c.batchDir = dir
+	c.batchDir = c.P.Graph().LastBatchDirected()
 	c.markedLen.Store(0)
 }
 

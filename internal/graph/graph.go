@@ -248,15 +248,16 @@ func (g *Dynamic) DeleteEdges(batch []Edge) []Edge {
 // copies of the batch are grouped by source vertex and groups are merged
 // into the flat blocks in parallel.
 func (g *Dynamic) apply(edges []Edge, insert bool) {
-	if len(edges) == 0 {
-		return
-	}
-	// Directed copies, sorted by source.
+	// Directed copies, sorted by source. An empty batch must leave the
+	// buffer empty too: LastBatchDirected reports it.
 	dir := g.dirBuf[:0]
 	for _, e := range edges {
 		dir = append(dir, e, Edge{e.V, e.U})
 	}
 	g.dirBuf = dir
+	if len(dir) == 0 {
+		return
+	}
 	slices.SortFunc(dir, cmpEdge)
 	// Group boundaries: positions where the source changes.
 	starts := g.groupStarts(dir)
@@ -274,6 +275,14 @@ func (g *Dynamic) apply(edges []Edge, insert bool) {
 		}
 	})
 }
+
+// LastBatchDirected returns both directed copies of every edge the last
+// InsertEdges or DeleteEdges call applied, sorted by (U, V) — the neighbours
+// a vertex gained or lost in that batch are one binary search away. It is
+// empty when that call applied nothing. The slice aliases the graph's
+// scratch buffer: it must not be modified and is valid until the next batch
+// operation.
+func (g *Dynamic) LastBatchDirected() []Edge { return g.dirBuf }
 
 // groupStarts returns the index of the first directed edge of each distinct
 // source vertex in the sorted directed edge list. The result aliases the

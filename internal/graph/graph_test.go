@@ -74,6 +74,32 @@ func TestDeleteBasic(t *testing.T) {
 	}
 }
 
+func TestLastBatchDirected(t *testing.T) {
+	g := NewDynamic(5)
+	if got := g.LastBatchDirected(); len(got) != 0 {
+		t.Fatalf("fresh graph: %v", got)
+	}
+	g.InsertEdges([]Edge{{3, 1}, {0, 4}, {1, 0}, {0, 1}, {2, 2}})
+	want := []Edge{{0, 1}, {0, 4}, {1, 0}, {1, 3}, {3, 1}, {4, 0}}
+	if got := g.LastBatchDirected(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after insert: %v, want %v", got, want)
+	}
+	// Batches that apply nothing must not leave the previous list behind.
+	g.InsertEdges([]Edge{{1, 3}, {4, 4}})
+	if got := g.LastBatchDirected(); len(got) != 0 {
+		t.Fatalf("after an insert of present edges: %v", got)
+	}
+	g.DeleteEdges([]Edge{{4, 0}, {2, 3}})
+	want = []Edge{{0, 4}, {4, 0}}
+	if got := g.LastBatchDirected(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after delete: %v, want %v", got, want)
+	}
+	g.DeleteEdges(nil)
+	if got := g.LastBatchDirected(); len(got) != 0 {
+		t.Fatalf("after an empty delete: %v", got)
+	}
+}
+
 func TestOutOfRangeFiltered(t *testing.T) {
 	g := NewDynamic(3)
 	fresh := g.InsertEdges([]Edge{{0, 7}, {9, 1}, {0, 2}})

@@ -4,12 +4,28 @@
 // level-synchronous parallel vertex moves.
 //
 // During an insertion batch, levels are visited in increasing order and all
-// vertices at the current level that violate Invariant 1 move up one level
-// in parallel; each level is left for good once processed. During a
-// deletion batch, every vertex that violates Invariant 2 computes its
-// desire level — the highest level below its current one where Invariant 2
-// holds — and levels are again visited in increasing order, moving every
-// vertex whose desire level equals the current level down in parallel.
+// vertices at the current level that violate Invariant 1 move up in
+// parallel; each level is left for good once processed. The paper's sweep
+// raises a violator one level per round. This one raises it straight to its
+// skip target — the lowest level above at which the neighbours already
+// standing that high no longer exceed the Invariant 1 bound (skipTarget) —
+// and reaches exactly the levels the one-level sweep reaches:
+//
+//  1. levels only rise during an insertion sweep, so the neighbours at or
+//     above a level j now are a subset of those the violator would find
+//     there when the one-level sweep got to j;
+//  2. hence it would still violate Invariant 1 at every level below its
+//     skip target, and the one-level sweep carries it at least that far;
+//  3. at the target it is queued and re-examined like any vertex of that
+//     level, against the same set of neighbours at or above it (a vertex
+//     is ahead of its one-level position only while both are at or above
+//     the level being processed), so it stops exactly where it would have.
+//
+// During a deletion batch, every vertex that violates Invariant 2 computes
+// its desire level — the highest level below its current one where
+// Invariant 2 holds — and levels are again visited in increasing order,
+// moving every vertex whose desire level equals the current level down in
+// parallel.
 //
 // The implementation exposes a Tracker interface with hooks at batch start,
 // first vertex move, and batch end. The CPLDS (internal/cplds) uses these
@@ -18,7 +34,7 @@
 package plds
 
 import (
-	"cmp"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -67,9 +83,10 @@ type decision struct {
 	dl   int32
 }
 
-// levelBufPool holds neighbour-level gather buffers for desireLevel, which
-// runs concurrently from the parallel re-validation loop; pooling keeps the
-// deletion hot path allocation-free without threading worker identities.
+// levelBufPool holds the neighbour-level gather buffers of skipTarget and
+// desireLevel, which run concurrently from the sweeps' parallel loops;
+// pooling keeps both hot paths allocation-free without threading worker
+// identities.
 var levelBufPool = sync.Pool{New: func() any { b := make([]int32, 0, 1024); return &b }}
 
 // growScratch returns buf resized to n, reallocating only when capacity is
@@ -127,25 +144,26 @@ type PLDS struct {
 	decBuf       []decision
 	extraBufs    [][]uint32
 	seedBuf      []uint32
+	firstBuf     []uint32
 
-	// jump is the maximum number of levels a violating vertex may rise in
-	// one step during the insertion phase (default 1). This mirrors the
-	// "-opt" flag of the paper's implementation (§7), which trades per-move
-	// overhead for fewer rounds; unlike the original, the jump target is
-	// clamped to the highest level where Invariant 2 still holds, so the
-	// invariants (and the approximation bound) are preserved.
-	jump int32
+	sweeps SweepStats
 }
 
-// SetLevelJump sets the maximum levels per upward move (>= 1) for the
-// insertion phase — the analogue of the paper's "-opt N" speed
-// optimization. Must not be called during a batch.
-func (p *PLDS) SetLevelJump(j int) {
-	if j < 1 {
-		j = 1
-	}
-	p.jump = int32(j)
+// SweepCounts are the cumulative work counters of one kind of sweep.
+type SweepCounts struct {
+	Rounds     int64 // level iterations in which at least one vertex moved
+	Moves      int64 // level changes (one vertex, one round)
+	FirstMoves int64 // vertices moved, counting each once per batch
 }
+
+// SweepStats holds the sweep counters since construction, by batch kind.
+type SweepStats struct {
+	Insert, Delete SweepCounts
+}
+
+// SweepStats returns the cumulative sweep counters. They are plain fields
+// written by the updater: read them only while no batch is running.
+func (p *PLDS) SweepStats() SweepStats { return p.sweeps }
 
 // New returns an empty PLDS over n vertices.
 func New(n int, p lds.Params, tracker Tracker) *PLDS {
@@ -161,7 +179,6 @@ func New(n int, p lds.Params, tracker Tracker) *PLDS {
 		queued:    make([]atomic.Int64, n),
 		dirty:     make([][]uint32, s.K+1),
 		buckets:   make([][]uint32, s.K+1),
-		jump:      1,
 	}
 }
 
@@ -211,6 +228,64 @@ func (p *PLDS) violatesInv2(v uint32) bool {
 	return float64(cnt) < p.S.LowerBound(lv)
 }
 
+// levelsAbove appends to ls the current level of every neighbour of v that
+// stands above floor (-1 for all of them). Sorted, these are all skipTarget
+// and desireLevel need: the number of neighbours at or above a level changes
+// only at one of these values, and the bound it is tested against only at a
+// group boundary, so neither has to visit the levels in between.
+func (p *PLDS) levelsAbove(v uint32, floor int32, ls []int32) []int32 {
+	p.g.Neighbors(v, func(w uint32) bool {
+		if l := p.level[w].Load(); l > floor {
+			ls = append(ls, l)
+		}
+		return true
+	})
+	return ls
+}
+
+// skipTarget returns the level an Invariant 1 violator v at level l rises
+// to: the lowest j > l such that the neighbours now at level j or above
+// number at most UpperBound(j), or MaxLevel if there is none. Neighbours at
+// level l itself are left out even when they are about to move as well, so
+// a set of vertices that rise together still rises one level at a time —
+// which is also the common case, and needs no sort.
+func (p *PLDS) skipTarget(v uint32, l int32) int32 {
+	bufp := levelBufPool.Get().(*[]int32)
+	ls := p.levelsAbove(v, l, (*bufp)[:0])
+	j := l + 1
+	if float64(len(ls)) > p.S.UpperBound(j) {
+		slices.Sort(ls)
+		j = lowestWithin(p.S, ls, j)
+	}
+	*bufp = ls
+	levelBufPool.Put(bufp)
+	return j
+}
+
+// lowestWithin returns the lowest level j >= from at which at most
+// UpperBound(j) of the ascending levels ls are j or above, or MaxLevel.
+func lowestWithin(s *lds.Structure, ls []int32, from int32) int32 {
+	lpg, maxLevel := int32(s.LevelsPerGroup), s.MaxLevel()
+	j := from
+	below, _ := slices.BinarySearch(ls, j) // number of entries under j
+	for j < maxLevel {
+		ub := s.UpperBound(j)
+		if float64(len(ls)-below) <= ub {
+			break
+		}
+		// Within j's group the bound holds once all but ⌊ub⌋ entries are
+		// below; the lowest level with that many below it is one past the
+		// last of them.
+		boundary := (j/lpg + 1) * lpg
+		if next := ls[len(ls)-int(ub)-1] + 1; next < boundary {
+			return next
+		}
+		j = min(boundary, maxLevel)
+		below, _ = slices.BinarySearch(ls, j)
+	}
+	return j
+}
+
 // desireLevel returns the highest level d < level(v) at which v satisfies
 // Invariant 2 (d = 0 always does). Only meaningful when v violates
 // Invariant 2 at its current level.
@@ -219,58 +294,32 @@ func (p *PLDS) desireLevel(v uint32) int32 {
 	if lv <= 1 {
 		return 0
 	}
-	// Gather neighbour levels clamped to lv (levels >= lv are equivalent
-	// for every threshold we test) into a pooled buffer, sort descending.
 	bufp := levelBufPool.Get().(*[]int32)
-	ls := (*bufp)[:0]
-	p.g.Neighbors(v, func(w uint32) bool {
-		l := p.level[w].Load()
-		if l > lv {
-			l = lv
-		}
-		ls = append(ls, l)
-		return true
-	})
-	slices.SortFunc(ls, func(a, b int32) int { return cmp.Compare(b, a) })
-	idx, cnt, out := 0, int32(0), int32(0)
-	for d := lv - 1; d >= 1; d-- {
-		thr := d - 1
-		for idx < len(ls) && ls[idx] >= thr {
-			cnt++
-			idx++
-		}
-		if float64(cnt) >= p.S.LowerBound(d) {
-			out = d
-			break
-		}
-	}
+	ls := p.levelsAbove(v, -1, (*bufp)[:0])
+	slices.Sort(ls)
+	d := highestSupported(p.S, ls, lv-1)
 	*bufp = ls
 	levelBufPool.Put(bufp)
-	return out
+	return d
 }
 
-// jumpTarget returns the level a violating vertex at level l should rise
-// to: l+1 when jumping is off, otherwise the highest level in
-// (l, l+jump] at which Invariant 2 still holds (level l+1 always
-// qualifies for an Invariant 1 violator, so the result is always > l).
-func (p *PLDS) jumpTarget(v uint32, l int32) int32 {
-	if p.jump <= 1 {
-		return l + 1
-	}
-	max := l + p.jump
-	if max > p.S.MaxLevel() {
-		max = p.S.MaxLevel()
-	}
-	target := l + 1
-	for t := l + 2; t <= max; t++ {
-		// Invariant 2 at t: count(level >= t-1) >= lower bound of t.
-		if float64(p.countAtLeast(v, t-1)) >= p.S.LowerBound(t) {
-			target = t
-		} else {
-			break // validity is monotone: higher levels also fail
+// highestSupported returns the highest level d <= from at which at least
+// LowerBound(d) of the ascending levels ls are d-1 or above, or 0. It is
+// lowestWithin mirrored: downwards, one step per group.
+func highestSupported(s *lds.Structure, ls []int32, from int32) int32 {
+	lpg := int32(s.LevelsPerGroup)
+	for d := from; d >= 1; {
+		// LowerBound(d) is that of the group d-1 lies in; within it the
+		// bound holds for d-1 up to the ⌈lb⌉-th highest entry.
+		groupStart := (d - 1) / lpg * lpg
+		if lb := s.LowerBound(d); lb <= float64(len(ls)) {
+			if c := min(d, ls[len(ls)-int(math.Ceil(lb))]+1); c > groupStart {
+				return c
+			}
 		}
+		d = groupStart
 	}
-	return target
+	return 0
 }
 
 // batchStart runs common batch prologue and returns whether work remains.
@@ -316,32 +365,37 @@ func (p *PLDS) Restore(g *graph.Dynamic, levels []int32, epoch uint64) {
 	p.epoch.Store(epoch)
 }
 
-// noteGrain is the mover count below which noteFirstMoves runs inline: the
-// sequential loop avoids allocating a dispatch closure for the (typical)
-// small rounds, while large cascades still fan out.
+// noteGrain is the first-mover count below which noteMoves calls the tracker
+// inline: the sequential loop avoids allocating a dispatch closure for the
+// (typical) small rounds, while large cascades still fan out.
 const noteGrain = 512
 
-// noteFirstMoves invokes the tracker's VertexMoving hook for every mover
-// that has not yet moved in this batch. movers must be duplicate-free.
-func (p *PLDS) noteFirstMoves(movers []uint32, kind Kind) {
+// noteMoves counts one round of movers into c and invokes the tracker's
+// VertexMoving hook for every mover that has not yet moved in this batch.
+// movers must be non-empty and duplicate-free.
+func (p *PLDS) noteMoves(c *SweepCounts, movers []uint32, kind Kind) {
+	first := p.firstBuf[:0]
+	for _, v := range movers {
+		if p.moveStamp[v] != p.batchID {
+			p.moveStamp[v] = p.batchID
+			first = append(first, v)
+		}
+	}
+	p.firstBuf = first
+	c.Rounds++
+	c.Moves += int64(len(movers))
+	c.FirstMoves += int64(len(first))
 	if p.tracker == nil {
 		return
 	}
-	if len(movers) < noteGrain {
-		for _, v := range movers {
-			if p.moveStamp[v] != p.batchID {
-				p.moveStamp[v] = p.batchID
-				p.tracker.VertexMoving(v, p.level[v].Load(), kind)
-			}
+	if len(first) < noteGrain {
+		for _, v := range first {
+			p.tracker.VertexMoving(v, p.level[v].Load(), kind)
 		}
 		return
 	}
-	parallel.For(len(movers), func(i int) {
-		v := movers[i]
-		if p.moveStamp[v] != p.batchID {
-			p.moveStamp[v] = p.batchID
-			p.tracker.VertexMoving(v, p.level[v].Load(), kind)
-		}
+	parallel.For(len(first), func(i int) {
+		p.tracker.VertexMoving(first[i], p.level[first[i]].Load(), kind)
 	})
 }
 
@@ -391,10 +445,11 @@ func (p *PLDS) InsertBatch(edges []graph.Edge) int {
 		curTargets []int32
 		curExtra   [][]uint32
 	)
-	// Phase A: compute each mover's target (one level up, or a jump of up
-	// to p.jump levels when the optimization is on) before any level
-	// changes, so targets are deterministic; then raise all movers.
-	phaseA := func(i int) { curTargets[i] = p.jumpTarget(curMovers[i], curL) }
+	// Phase A: compute each mover's skip target — the lowest level above l
+	// at which it is not certain to violate Invariant 1 again (see the
+	// package comment for why that loses nothing against l+1) — before any
+	// level changes, so targets are deterministic; then raise all movers.
+	phaseA := func(i int) { curTargets[i] = p.skipTarget(curMovers[i], curL) }
 	phaseRaise := func(i int) { p.level[curMovers[i]].Store(curTargets[i]) }
 	// Phase B: recompute movers' up counters against settled levels.
 	phaseB := func(i int) {
@@ -442,7 +497,7 @@ func (p *PLDS) InsertBatch(edges []graph.Edge) int {
 		if len(movers) == 0 {
 			continue
 		}
-		p.noteFirstMoves(movers, Insert)
+		p.noteMoves(&p.sweeps.Insert, movers, Insert)
 		p.targetsBuf = growScratch(p.targetsBuf, len(movers))
 		curL, curRound, curMovers, curTargets = l, round, movers, p.targetsBuf
 		curExtra = p.extraScratch(len(movers))
@@ -613,7 +668,7 @@ func (p *PLDS) DeleteBatch(edges []graph.Edge) int {
 		if len(movers) == 0 {
 			continue
 		}
-		p.noteFirstMoves(movers, Delete)
+		p.noteMoves(&p.sweeps.Delete, movers, Delete)
 		p.oldLevelsBuf = growScratch(p.oldLevelsBuf, len(movers))
 		curMovers, curOld = movers, p.oldLevelsBuf
 		curExtra = p.extraScratch(len(movers))

@@ -10,7 +10,8 @@ import (
 // fixed block of edges is alternately deleted and re-inserted, so levels,
 // adjacency capacity and the engine's scratch arenas all reach a fixed
 // point. allocs/op here is the per-batch-pair steady-state allocation count
-// the zero-allocation work targets.
+// the zero-allocation work targets; moves/op and rounds/op are the sweeps'
+// level changes and level iterations per pair (CI checks they are reported).
 func BenchmarkBatchSteadyState(b *testing.B) {
 	const n = 20000
 	edges := gen.ChungLu(n, 60000, 2.4, 7)
@@ -20,6 +21,7 @@ func BenchmarkBatchSteadyState(b *testing.B) {
 	// Warm one cycle so slice capacities settle before measurement.
 	p.DeleteBatch(block)
 	p.InsertBatch(block)
+	before := p.SweepStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -29,4 +31,8 @@ func BenchmarkBatchSteadyState(b *testing.B) {
 	b.StopTimer()
 	edgesPerOp := float64(2 * len(block))
 	b.ReportMetric(edgesPerOp*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
+	after := p.SweepStats()
+	perOp := func(ins, del int64) float64 { return float64(ins+del) / float64(b.N) }
+	b.ReportMetric(perOp(after.Insert.Moves-before.Insert.Moves, after.Delete.Moves-before.Delete.Moves), "moves/op")
+	b.ReportMetric(perOp(after.Insert.Rounds-before.Insert.Rounds, after.Delete.Rounds-before.Delete.Rounds), "rounds/op")
 }
