@@ -11,11 +11,11 @@ import (
 // approximation, influential spreaders, coloring and maximal matching.
 //
 // The static functions operate on an explicit edge list. The Decomposition
-// methods operate on the current dynamic graph through the engine
-// interface's snapshot, so they work identically in single-engine and
-// sharded mode (the sharded engine reassembles the global graph from its
-// shards' primary edge copies). Except for TopSpreaders, they are quiescent
-// operations: they must not run concurrently with an update batch.
+// methods operate on a snapshot of the current global graph, so they work
+// identically at every shard count (with more than one shard the engine
+// reassembles the global graph from its shards' primary edge copies).
+// Except for TopSpreaders, they are quiescent operations: they must not run
+// concurrently with an update batch.
 
 // Orientation is an acyclic edge orientation with provably low out-degree:
 // Out[v] lists v's out-neighbours, and the maximum out-degree is at most

@@ -92,12 +92,7 @@ func doReplay(path string, shards int) error {
 	if err != nil {
 		return err
 	}
-	var res trace.ReplayResult
-	if shards > 1 {
-		res, err = trace.ReplayShards(t, lds.DefaultParams(), shards)
-	} else {
-		res, err = trace.Replay(t, lds.DefaultParams())
-	}
+	res, err := trace.Replay(t, lds.DefaultParams(), shards)
 	if err != nil {
 		return err
 	}

@@ -194,7 +194,7 @@ func testRecoveryTornTail(t *testing.T, shards int) {
 	// shard; forced via vertex ownership when sharded).
 	var pool []Edge
 	if shards > 1 {
-		pool = sameShardEdges(d1.eng.(*shard.Engine), n, batches*5+25)
+		pool = sameShardEdges(d1.eng, n, batches*5+25)
 	}
 	var script [][]Edge
 	for i := 0; i < batches; i++ {

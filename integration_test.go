@@ -27,7 +27,7 @@ func TestIntegrationTraceReplayMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := trace.Replay(tr2, lds.DefaultParams())
+	res, err := trace.Replay(tr2, lds.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -386,29 +386,41 @@ func (c *CPLDS) findRoot(v uint32) (uint32, bool) {
 		x = uint32(p)
 		d = nd
 	}
-	if c.noPathCompression {
-		return x, true
+	if !c.noPathCompression {
+		c.compress(v, x)
 	}
-	// Compress: point every node on v's path directly at x. A non-root
-	// descriptor's parent is only ever rewritten to another ancestor, so
-	// racing stores are benign. Only the updater runs findRoot, and every
-	// non-nil descriptor belongs to the current batch, so stores carry the
-	// current stamp.
-	for w := v; w != x; {
+	return x, true
+}
+
+// compress points every node on v's path above x directly at x, where x
+// was v's root when findRoot walked the path.
+//
+// The invariant every parent write keeps is parent < child: union links
+// the larger root under the smaller, and compression only stores x into a
+// node w > x. Parent chains therefore strictly decrease, so they are
+// acyclic and reach a root in at most n steps. Other workers may relink x
+// (and then its new root) while this walk runs, so the walk may step past
+// x onto nodes smaller than x; bounding it by w > x stops it there instead
+// of storing x under them, which would close a cycle. Racing stores of
+// different roots into one node are safe because each stores an ancestor
+// with a smaller id. Only the updater runs findRoot, and every non-nil
+// descriptor belongs to the current batch, so stores carry the current
+// stamp.
+func (c *CPLDS) compress(v, x uint32) {
+	for w := v; w > x; {
 		dw := c.desc[w].Load()
 		if dw == nil {
-			break
+			return
 		}
 		p := parentOf(dw.word.Load())
 		if p == Root {
-			break
+			return
 		}
-		if uint32(p) != x {
+		if uint32(p) > x {
 			dw.word.Store(packWord(c.stamp, int32(x)))
 		}
 		w = uint32(p)
 	}
-	return x, true
 }
 
 // union merges the DAGs of u and w with deterministic

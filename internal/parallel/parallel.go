@@ -1,9 +1,10 @@
 // Package parallel provides fork-join parallel primitives over goroutines.
 //
 // It is a small, dependency-free stand-in for the ParlayLib primitives the
-// paper's C++ implementation uses: parallel for, reduce, scan, filter, pack,
-// sort and histogram. All primitives are deterministic: given the same input
-// they produce the same output regardless of the number of workers.
+// paper's C++ implementation uses, cut down to the ones this repository
+// calls: parallel for, fork-join, scan, filter and sort. All primitives are
+// deterministic: given the same input they produce the same output
+// regardless of the number of workers.
 //
 // Workers defaults to runtime.GOMAXPROCS(0) and can be overridden per call
 // site via SetWorkers for reproducible experiments with a fixed parallelism
@@ -138,88 +139,6 @@ func Do(thunks ...func()) {
 	wg.Wait()
 }
 
-// Reduce combines xs with the associative function combine, starting from
-// identity. combine must be associative; it need not be commutative.
-func Reduce[T any](xs []T, identity T, combine func(a, b T) T) T {
-	return ReduceWith(Workers(), xs, identity, combine)
-}
-
-// ReduceWith is Reduce with an explicit worker count.
-func ReduceWith[T any](workers int, xs []T, identity T, combine func(a, b T) T) T {
-	n := len(xs)
-	if workers <= 1 || n < minGrain {
-		acc := identity
-		for _, x := range xs {
-			acc = combine(acc, x)
-		}
-		return acc
-	}
-	nchunks := workers * 4
-	chunk := (n + nchunks - 1) / nchunks
-	if chunk < minGrain {
-		chunk = minGrain
-		nchunks = (n + chunk - 1) / chunk
-	}
-	partial := make([]T, nchunks)
-	BlockedForWith(workers, nchunks, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			a, b := c*chunk, (c+1)*chunk
-			if b > n {
-				b = n
-			}
-			acc := identity
-			for _, x := range xs[a:b] {
-				acc = combine(acc, x)
-			}
-			partial[c] = acc
-		}
-	})
-	acc := identity
-	for _, p := range partial {
-		acc = combine(acc, p)
-	}
-	return acc
-}
-
-// MapReduce maps each element through f and reduces the results with
-// combine, starting from identity.
-func MapReduce[T, R any](xs []T, identity R, f func(T) R, combine func(a, b R) R) R {
-	n := len(xs)
-	w := Workers()
-	if w <= 1 || n < minGrain {
-		acc := identity
-		for _, x := range xs {
-			acc = combine(acc, f(x))
-		}
-		return acc
-	}
-	nchunks := w * 4
-	chunk := (n + nchunks - 1) / nchunks
-	if chunk < minGrain {
-		chunk = minGrain
-		nchunks = (n + chunk - 1) / chunk
-	}
-	partial := make([]R, nchunks)
-	BlockedForWith(w, nchunks, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			a, b := c*chunk, (c+1)*chunk
-			if b > n {
-				b = n
-			}
-			acc := identity
-			for _, x := range xs[a:b] {
-				acc = combine(acc, f(x))
-			}
-			partial[c] = acc
-		}
-	})
-	acc := identity
-	for _, p := range partial {
-		acc = combine(acc, p)
-	}
-	return acc
-}
-
 // Scan computes the exclusive prefix sums of xs in place and returns the
 // total. After the call, xs[i] holds the sum of the original xs[0:i].
 func Scan(xs []int) int {
@@ -315,21 +234,4 @@ func Filter[T any](xs []T, keep func(T) bool) []T {
 		}
 	})
 	return out
-}
-
-// Map applies f to every element of xs in parallel and returns the results.
-func Map[T, R any](xs []T, f func(T) R) []R {
-	out := make([]R, len(xs))
-	For(len(xs), func(i int) { out[i] = f(xs[i]) })
-	return out
-}
-
-// Count returns the number of elements for which pred is true.
-func Count[T any](xs []T, pred func(T) bool) int {
-	return MapReduce(xs, 0, func(x T) int {
-		if pred(x) {
-			return 1
-		}
-		return 0
-	}, func(a, b int) int { return a + b })
 }

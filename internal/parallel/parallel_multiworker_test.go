@@ -33,42 +33,6 @@ func TestForParallelPath(t *testing.T) {
 	})
 }
 
-func TestReduceParallelPath(t *testing.T) {
-	withWorkers(t, 4, func() {
-		xs := make([]int, minGrain*10)
-		want := 0
-		for i := range xs {
-			xs[i] = i % 97
-			want += xs[i]
-		}
-		if got := Reduce(xs, 0, func(a, b int) int { return a + b }); got != want {
-			t.Fatalf("Reduce = %d, want %d", got, want)
-		}
-	})
-}
-
-func TestMapReduceParallelPath(t *testing.T) {
-	withWorkers(t, 4, func() {
-		xs := make([]int, minGrain*6)
-		want := 0
-		for i := range xs {
-			xs[i] = i
-			if i%2 == 0 {
-				want++
-			}
-		}
-		got := MapReduce(xs, 0, func(x int) int {
-			if x%2 == 0 {
-				return 1
-			}
-			return 0
-		}, func(a, b int) int { return a + b })
-		if got != want {
-			t.Fatalf("MapReduce = %d, want %d", got, want)
-		}
-	})
-}
-
 func TestScanParallelPath(t *testing.T) {
 	withWorkers(t, 4, func() {
 		rng := rand.New(rand.NewSource(9))
@@ -103,24 +67,6 @@ func TestFilterParallelPath(t *testing.T) {
 	})
 }
 
-func TestMapAndCountParallelPath(t *testing.T) {
-	withWorkers(t, 4, func() {
-		xs := make([]int, minGrain*5)
-		for i := range xs {
-			xs[i] = i
-		}
-		ys := Map(xs, func(x int) int { return x * 2 })
-		for i := range ys {
-			if ys[i] != 2*i {
-				t.Fatalf("Map[%d] = %d", i, ys[i])
-			}
-		}
-		if got := Count(xs, func(x int) bool { return x < 100 }); got != 100 {
-			t.Fatalf("Count = %d", got)
-		}
-	})
-}
-
 func TestSortParallelPath(t *testing.T) {
 	withWorkers(t, 4, func() {
 		rng := rand.New(rand.NewSource(10))
@@ -130,25 +76,9 @@ func TestSortParallelPath(t *testing.T) {
 		}
 		want := append([]int64(nil), xs...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		SortInts(xs)
+		Sort(xs, func(a, b int64) bool { return a < b })
 		if !reflect.DeepEqual(xs, want) {
 			t.Fatal("parallel sort mismatch")
-		}
-	})
-}
-
-func TestHistogramParallelPath(t *testing.T) {
-	withWorkers(t, 4, func() {
-		keys := make([]int, minGrain*6)
-		want := make([]int64, 7)
-		for i := range keys {
-			keys[i] = i % 9 // includes out-of-range 7, 8
-			if keys[i] < 7 {
-				want[keys[i]]++
-			}
-		}
-		if got := Histogram(keys, 7); !reflect.DeepEqual(got, want) {
-			t.Fatalf("histogram mismatch: %v vs %v", got, want)
 		}
 	})
 }

@@ -86,52 +86,6 @@ func TestDo(t *testing.T) {
 	}
 }
 
-func TestReduceSum(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 100, minGrain * 5} {
-		xs := make([]int, n)
-		want := 0
-		for i := range xs {
-			xs[i] = rng.Intn(1000)
-			want += xs[i]
-		}
-		for _, w := range []int{1, 2, 8} {
-			got := ReduceWith(w, xs, 0, func(a, b int) int { return a + b })
-			if got != want {
-				t.Fatalf("n=%d w=%d: Reduce = %d, want %d", n, w, got, want)
-			}
-		}
-	}
-}
-
-func TestReduceNonCommutative(t *testing.T) {
-	// String concatenation is associative but not commutative; Reduce must
-	// preserve order.
-	xs := make([]string, 3000)
-	want := ""
-	for i := range xs {
-		xs[i] = string(rune('a' + i%26))
-		want += xs[i]
-	}
-	got := ReduceWith(4, xs, "", func(a, b string) string { return a + b })
-	if got != want {
-		t.Fatalf("order not preserved by Reduce")
-	}
-}
-
-func TestMapReduce(t *testing.T) {
-	xs := make([]int, 5000)
-	want := 0
-	for i := range xs {
-		xs[i] = i
-		want += i * i
-	}
-	got := MapReduce(xs, 0, func(x int) int { return x * x }, func(a, b int) int { return a + b })
-	if got != want {
-		t.Fatalf("MapReduce = %d, want %d", got, want)
-	}
-}
-
 func scanRef(xs []int) ([]int, int) {
 	out := make([]int, len(xs))
 	sum := 0
@@ -214,24 +168,6 @@ func TestFilterAllAndNone(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	xs := []int{1, 2, 3, 4}
-	got := Map(xs, func(x int) int { return x * 10 })
-	if !reflect.DeepEqual(got, []int{10, 20, 30, 40}) {
-		t.Fatalf("Map = %v", got)
-	}
-}
-
-func TestCount(t *testing.T) {
-	xs := make([]int, 10000)
-	for i := range xs {
-		xs[i] = i
-	}
-	if got := Count(xs, func(x int) bool { return x%2 == 0 }); got != 5000 {
-		t.Fatalf("Count = %d, want 5000", got)
-	}
-}
-
 func TestSortMatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 2, 100, sortSeqCutoff + 1, sortSeqCutoff*4 + 17} {
@@ -283,32 +219,6 @@ func TestSortProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	keys := make([]int, 20000)
-	rng := rand.New(rand.NewSource(5))
-	want := make([]int64, 13)
-	for i := range keys {
-		keys[i] = rng.Intn(15) - 1 // includes out-of-range -1, 13, 14
-		if keys[i] >= 0 && keys[i] < 13 {
-			want[keys[i]]++
-		}
-	}
-	got := Histogram(keys, 13)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("histogram mismatch:\n got %v\nwant %v", got, want)
-	}
-}
-
-func TestMaxIndex(t *testing.T) {
-	if got := MaxIndex([]int{}, func(a, b int) bool { return a < b }); got != -1 {
-		t.Fatalf("empty MaxIndex = %d", got)
-	}
-	xs := []int{3, 9, 2, 9, 1}
-	if got := MaxIndex(xs, func(a, b int) bool { return a < b }); got != 1 {
-		t.Fatalf("MaxIndex = %d, want 1 (first max)", got)
-	}
-}
-
 func BenchmarkParallelFor(b *testing.B) {
 	xs := make([]int64, 1<<20)
 	b.ReportAllocs()
@@ -332,6 +242,6 @@ func BenchmarkParallelSort(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(xs, orig)
-		SortInts(xs)
+		Sort(xs, func(a, b int64) bool { return a < b })
 	}
 }

@@ -79,65 +79,3 @@ func merge[T any](a, b, out []T, less func(x, y T) bool) {
 		k++
 	}
 }
-
-// SortInts sorts a slice of int64 keys in parallel, ascending.
-func SortInts(xs []int64) {
-	Sort(xs, func(a, b int64) bool { return a < b })
-}
-
-// Histogram counts occurrences of each key in [0, buckets) across keys.
-// Keys outside the range are ignored.
-func Histogram(keys []int, buckets int) []int64 {
-	w := Workers()
-	if w <= 1 || len(keys) < minGrain {
-		out := make([]int64, buckets)
-		for _, k := range keys {
-			if k >= 0 && k < buckets {
-				out[k]++
-			}
-		}
-		return out
-	}
-	nchunks := w
-	chunk := (len(keys) + nchunks - 1) / nchunks
-	partial := make([][]int64, nchunks)
-	BlockedForWith(w, nchunks, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			a, b := c*chunk, (c+1)*chunk
-			if b > len(keys) {
-				b = len(keys)
-			}
-			h := make([]int64, buckets)
-			for _, k := range keys[a:b] {
-				if k >= 0 && k < buckets {
-					h[k]++
-				}
-			}
-			partial[c] = h
-		}
-	})
-	out := make([]int64, buckets)
-	ForWith(w, buckets, func(b int) {
-		var s int64
-		for _, h := range partial {
-			s += h[b]
-		}
-		out[b] = s
-	})
-	return out
-}
-
-// MaxIndex returns the index of the maximum element (first occurrence) of
-// xs under less, or -1 for an empty slice.
-func MaxIndex[T any](xs []T, less func(a, b T) bool) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(xs); i++ {
-		if less(xs[best], xs[i]) {
-			best = i
-		}
-	}
-	return best
-}

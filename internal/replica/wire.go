@@ -269,7 +269,7 @@ func parseStateFrame(payload []byte, n, shards int) (int, wal.ShardState, error)
 
 // Engine is what a follower drives: the durability surface (bootstrap
 // restore + logged-batch apply + quiesce) plus whole-engine restore and
-// the committed epoch. Both kcore backends implement it.
+// the committed epoch. shard.Engine implements it.
 type Engine interface {
 	wal.Engine
 	// RestoreAll restores every shard inside one quiesce section, safe on

@@ -44,9 +44,10 @@
 //
 // Reads are served directly from the CPLDS read protocol of the vertex's
 // owning shard and never block on updates. Update requests from concurrent
-// clients are handed to the sharded engine's batch-coalescing scheduler,
-// which folds them into per-shard sub-batches and applies sub-batches of
-// distinct shards in parallel.
+// clients are handed to the engine: with one shard they apply one after
+// another, each as an insertion then a deletion sub-batch; with more, the
+// batch-coalescing scheduler folds them into per-shard sub-batches and
+// applies sub-batches of distinct shards in parallel.
 //
 // Every read response carries an "epoch" field: the committed batch
 // boundary (cross-shard, when sharded) the response was served from.
@@ -931,7 +932,7 @@ type batchEdge struct {
 }
 
 // batchRequest is the JSON body of POST /edges/batch: a mixed batch of
-// insertions and deletions applied through the coalescing scheduler.
+// insertions and deletions applied as one engine submission.
 type batchRequest struct {
 	Insert []batchEdge `json:"insert"`
 	Delete []batchEdge `json:"delete"`

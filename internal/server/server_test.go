@@ -152,15 +152,18 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Fatalf("batch response %+v", br)
 	}
 	// Mixed batch: one deletion, one fresh insertion, one insert+delete
-	// pair of the same (absent) edge that must net out to nothing.
+	// pair of the same (absent) edge. With one shard the insertions and the
+	// deletions run as two sub-batches in that order (the paper's model), so
+	// the pair is inserted, then deleted: it counts on both sides and leaves
+	// the graph without the edge.
 	resp = post(t, ts.URL+"/edges/batch",
 		`{"insert":[{"u":2,"v":3},{"u":7,"v":8}],"delete":[{"u":0,"v":1},{"u":7,"v":8}]}`)
 	br = decode[batchResponse](t, resp)
-	if br.Inserted != 1 || br.Deleted != 1 {
+	if br.Inserted != 2 || br.Deleted != 2 {
 		t.Fatalf("mixed batch response %+v", br)
 	}
 	st := decode[statsResponse](t, get(t, ts.URL+"/stats"))
-	if st.Edges != 3 || st.Inserted != 4 || st.Deleted != 1 {
+	if st.Edges != 3 || st.Inserted != 5 || st.Deleted != 2 {
 		t.Fatalf("stats after batches %+v", st)
 	}
 }

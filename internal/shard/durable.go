@@ -6,7 +6,7 @@ import (
 	"kcore/internal/wal"
 )
 
-// This file implements wal.Engine for the sharded engine: batch logging at
+// This file implements wal.Engine for the engine: batch logging at
 // the commit boundary, whole-engine quiescence for snapshots, and
 // per-shard capture/restore.
 
@@ -38,11 +38,15 @@ func (e *Engine) Quiesce(f func()) {
 }
 
 // ApplyLogged re-applies one logged batch round to its shard with exactly
-// the accounting of the live path (drainAndApplyLocked): presence and
-// primary-ownership are evaluated against the pre-round graph, then the
-// insert and delete sub-batches run in order. Single-threaded recovery
-// use only.
+// the accounting of the live path. With P = 1 that is applyOne itself.
+// With P > 1 (drainAndApplyLocked) presence and primary-ownership are
+// evaluated against the pre-round graph, then the insert and delete
+// sub-batches run in order. Single-threaded recovery use only.
 func (e *Engine) ApplyLogged(b wal.Batch) {
+	if e.p == 1 {
+		e.applyOne(b)
+		return
+	}
 	s := e.shards[b.Shard]
 	g := s.c.Graph()
 	for _, ed := range b.Ins {

@@ -1,7 +1,8 @@
-// Package shard provides a sharded CPLDS engine: vertices are hash-
-// partitioned across P independent cplds.CPLDS instances, fronted by a
-// batch-coalescing scheduler that accepts concurrent update submissions
-// from any number of goroutines.
+// Package shard provides the repository's one k-core engine: vertices are
+// hash-partitioned across P cplds.CPLDS instances, and update submissions
+// are accepted from any number of goroutines. P = 1 is a single CPLDS
+// behind a mutex; P > 1 adds cut-edge mirroring and a batch-coalescing
+// scheduler.
 //
 // # Partitioning
 //
@@ -10,20 +11,22 @@
 // into the shard owning v, so every shard's local subgraph contains all
 // edges incident to the vertices it owns. Coreness reads of v route
 // directly to v's owning shard and use the CPLDS lock-free linearizable
-// read protocol there: reads never block on updates, exactly as in the
-// single-engine case.
+// read protocol there: reads never block on updates.
 //
 // # Scheduling
 //
 // Updates are submitted via Apply/Insert/Delete, which may be called
-// concurrently. Each submission is split into per-shard sub-batches and
-// enqueued; per shard, a combining lock drains everything queued, coalesces
-// it into one CPLDS batch (deduping opposing insert/delete pairs of the
-// same edge — the latest submission wins), and applies it under that
-// shard's one-updater contract. Sub-batches of distinct shards are applied
-// in parallel. A caller's submission is thus folded into at most one CPLDS
-// batch per shard together with every other submission that queued behind
-// the same in-flight batch.
+// concurrently. With P = 1 a submission takes the shard's apply lock and
+// runs as an insertion sub-batch then a deletion sub-batch on the CPLDS,
+// exactly the paper's model; concurrent submissions wait for the lock and
+// are not merged. With P > 1 each submission is split into per-shard
+// sub-batches and enqueued; per shard, a combining lock drains everything
+// queued, coalesces it into one CPLDS batch (deduping opposing
+// insert/delete pairs of the same edge — the latest submission wins), and
+// applies it under that shard's one-updater contract. Sub-batches of
+// distinct shards are applied in parallel. A caller's submission is thus
+// folded into at most one CPLDS batch per shard together with every other
+// submission that queued behind the same in-flight batch.
 //
 // Cross-shard enqueue of one submission is atomic and globally ordered, so
 // the two mirror copies of a cut edge always converge to the same presence
@@ -32,10 +35,10 @@
 // # Semantics
 //
 // Each shard maintains the paper's (2+3/λ)(1+δ)-approximation over its
-// local subgraph (the edges incident to its owned vertices). For P = 1 the
-// engine is semantically identical to a single CPLDS. For P > 1 the
-// estimate returned for v approximates v's coreness in its owning shard's
-// subgraph. The subgraph's exact coreness never exceeds the global
+// local subgraph (the edges incident to its owned vertices). For P = 1
+// that subgraph is the whole graph, so the guarantee is the paper's. For
+// P > 1 the estimate returned for v approximates v's coreness in its owning
+// shard's subgraph. The subgraph's exact coreness never exceeds the global
 // coreness, so the estimate still respects the upper side of the bound
 // against the global value (est ≤ factor × global coreness), but it may
 // undershoot the global coreness by more than the factor; reads remain
@@ -101,7 +104,7 @@ type shardState struct {
 
 	applyMu sync.Mutex // held while draining + applying (the one updater)
 
-	batches atomic.Uint64 // coalesced batches applied on this shard
+	batches atomic.Uint64 // CPLDS sub-batches (P = 1) or coalesced rounds (P > 1)
 
 	// lastGlobal is the global epoch assigned to this shard's most recent
 	// commit, written inside the commit hook and read by the change-feed
@@ -117,12 +120,14 @@ type shardState struct {
 	primaryEdges atomic.Int64 // distinct global edges owned by this shard
 }
 
-// Engine is the sharded CPLDS engine.
+// Engine is the CPLDS engine over P shards.
 //
-// Concurrency contract: Apply, Insert and Delete may be called from any
-// number of goroutines; Read, ReadNonSync and ReadSync from any goroutine
+// Concurrency contract, for every P: Apply, Insert and Delete may be
+// called from any number of goroutines; Read, ReadNonSync, ReadSync, the
+// pinned and retained reads, NumEdges, Epoch and Stats from any goroutine
 // at any time. Quiescent operations (Snapshot, GlobalEdges, Degree,
-// CheckInvariants, LocalGraph) must not run concurrently with updates.
+// IncidentEdges, ExactCoreness, CheckInvariants, LocalGraph) must not run
+// concurrently with updates.
 type Engine struct {
 	n      int
 	p      int
@@ -200,8 +205,9 @@ func (e *Engine) ApproxFactor() float64 { return e.params.ApproxFactor() }
 // with updates; the value is the count as of the last completed accounting.
 func (e *Engine) NumEdges() int64 { return e.numEdges.Load() }
 
-// Batches returns the total number of coalesced batches applied across all
-// shards.
+// Batches returns the number of update batches applied: with P = 1 the
+// CPLDS sub-batches (an insertion and a deletion count as two, as in the
+// paper's model), with P > 1 the coalesced rounds summed across shards.
 func (e *Engine) Batches() uint64 {
 	var total uint64
 	for _, s := range e.shards {
@@ -711,13 +717,32 @@ func (e *Engine) Delete(edges []graph.Edge) int {
 	return del
 }
 
-// Apply submits a mixed batch. Within one call, a deletion of an edge
-// overrides an insertion of the same edge (deletions are the later
-// sub-batch, as in the single-engine ApplyBatch). Returns the number of
-// edges this call actually inserted and deleted. Safe for concurrent
-// callers; concurrent submissions to the same shard are coalesced into one
-// CPLDS batch.
+// Apply submits a mixed batch and returns the number of edges this call
+// actually inserted and deleted. Safe for concurrent callers. An all-empty
+// submission commits no epoch.
+//
+// With P = 1 the insertions run as one CPLDS batch and then the deletions
+// as another (see applyOne), so an edge in both is inserted and then
+// deleted. With P > 1 a deletion of an edge overrides an insertion of the
+// same edge within one call, and concurrent submissions to the same shard
+// are coalesced into one CPLDS batch.
 func (e *Engine) Apply(insertions, deletions []graph.Edge) (inserted, deleted int) {
+	if len(insertions) == 0 && len(deletions) == 0 {
+		return 0, 0
+	}
+	if e.p == 1 {
+		s := e.shards[0]
+		b := wal.Batch{Ins: insertions, Del: deletions, HasIns: len(insertions) > 0, HasDel: len(deletions) > 0}
+		s.applyMu.Lock()
+		defer s.applyMu.Unlock()
+		inserted, deleted = e.applyOne(b)
+		if e.batchLog != nil {
+			b.Epoch = s.c.Epoch()
+			e.batchLog(b)
+		}
+		return inserted, deleted
+	}
+
 	// Normalize and dedupe within the call: canonical form, in-range,
 	// no self-loops; delete-after-insert of the same edge leaves a delete.
 	ops := make(map[graph.Edge]opKind, len(insertions)+len(deletions))
@@ -777,6 +802,33 @@ func (e *Engine) Apply(insertions, deletions []graph.Edge) (inserted, deleted in
 	}
 	parallel.Do(thunks...)
 	return int(op.inserted.Load()), int(op.deleted.Load())
+}
+
+// applyOne applies one round to the single shard of a P = 1 engine: the
+// insertion sub-batch if b.HasIns, then the deletion sub-batch if b.HasDel,
+// each one CPLDS batch committing one epoch. No edge is mirrored, so the
+// CPLDS's applied counts are every counter's delta; the CPLDS itself drops
+// self-loops, out-of-range endpoints and duplicates. Live rounds (Apply)
+// and replayed ones (ApplyLogged) both run here, so recovered and
+// replicated counters equal the live ones. Caller holds applyMu or is the
+// single-threaded recovery.
+func (e *Engine) applyOne(b wal.Batch) (inserted, deleted int) {
+	s := e.shards[0]
+	if b.HasIns {
+		inserted = s.c.InsertBatch(b.Ins)
+		s.batches.Add(1)
+	}
+	if b.HasDel {
+		deleted = s.c.DeleteBatch(b.Del)
+		s.batches.Add(1)
+	}
+	s.inserted.Add(int64(inserted))
+	s.deleted.Add(int64(deleted))
+	net := int64(inserted - deleted)
+	s.localEdges.Add(net)
+	s.primaryEdges.Add(net)
+	e.numEdges.Add(net)
+	return inserted, deleted
 }
 
 // drainAndApplyLocked drains the shard's queue, coalesces the drained
@@ -862,7 +914,7 @@ type Stats struct {
 	OwnedVertices int    `json:"owned_vertices"` // vertices hashed to this shard
 	PrimaryEdges  int64  `json:"primary_edges"`  // distinct global edges it owns
 	LocalEdges    int64  `json:"local_edges"`    // edges in its subgraph (incl. mirrored cut edges)
-	Batches       uint64 `json:"batches"`        // coalesced CPLDS batches applied
+	Batches       uint64 `json:"batches"`        // update batches applied (see Engine.Batches)
 	Inserted      int64  `json:"edges_inserted"` // cumulative edges applied locally
 	Deleted       int64  `json:"edges_deleted"`
 }
@@ -927,6 +979,9 @@ func (e *Engine) GlobalEdges() []graph.Edge {
 
 // Snapshot builds a CSR snapshot of the global graph. Quiescent use only.
 func (e *Engine) Snapshot() *graph.CSR {
+	if e.p == 1 {
+		return e.shards[0].c.Graph().Snapshot()
+	}
 	return graph.CSRFromEdges(e.n, e.GlobalEdges())
 }
 

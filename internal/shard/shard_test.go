@@ -11,6 +11,7 @@ import (
 	"kcore/internal/gen"
 	"kcore/internal/graph"
 	"kcore/internal/lds"
+	"kcore/internal/parallel"
 )
 
 func defaultP() lds.Params { return lds.DefaultParams() }
@@ -55,27 +56,113 @@ func TestShardOfInRangeAndStable(t *testing.T) {
 	}
 }
 
+// slidingWindow returns a Chung–Lu ring for a sliding-window stream: the
+// first live edges are the preload, and batch i inserts the k edges after
+// the window and deletes the k oldest.
+func slidingWindow(n, pool int, seed int64) []graph.Edge {
+	ring := gen.Shuffle(gen.ChungLu(n, pool, 2.4, seed), seed+1)
+	return append(ring, ring...)
+}
+
+// TestSingleShardMatchesCPLDS: one shard is a CPLDS behind a mutex, so
+// after every batch of a sliding window it must hold the levels, epoch,
+// batch number, edge count and load stats of a bare CPLDS fed the same
+// sub-batches. The batches carry duplicates, self-loops, out-of-range
+// endpoints and an edge that is both inserted and deleted; a coalescing
+// P = 1 path would dedupe the last one and count one batch per round.
 func TestSingleShardMatchesCPLDS(t *testing.T) {
-	const n = 300
-	edges := gen.ChungLu(n, 2500, 2.3, 7)
+	n, pool, live, k, slides := 2000, 12000, 6000, 200, 30
+	if testing.Short() {
+		slides = 10
+	}
+	ring := slidingWindow(n, pool, 7)
 	e := New(n, 1, defaultP())
 	c := cplds.New(n, defaultP())
-	for _, b := range gen.Batches(edges, 400) {
-		e.Insert(b)
-		c.InsertBatch(b)
-	}
-	e.Delete(edges[:800])
-	c.DeleteBatch(edges[:800])
-	for v := uint32(0); v < n; v++ {
-		if got, want := e.Read(v), c.Read(v); got != want {
-			t.Fatalf("vertex %d: sharded P=1 estimate %v, single engine %v", v, got, want)
+	want := Stats{OwnedVertices: n}
+	got, ref := make([]int32, n), make([]int32, n)
+	step := func(ins, del []graph.Edge) {
+		t.Helper()
+		gi, gd := e.Apply(ins, del)
+		var wi, wd int
+		if len(ins) > 0 {
+			wi = c.InsertBatch(ins)
+		}
+		if len(del) > 0 {
+			wd = c.DeleteBatch(del)
+		}
+		if gi != wi || gd != wd {
+			t.Fatalf("Apply applied (%d,%d), the CPLDS (%d,%d)", gi, gd, wi, wd)
+		}
+		want.Inserted += int64(wi)
+		want.Deleted += int64(wd)
+		want.Batches = c.BatchNumber()
+		want.LocalEdges = c.Graph().NumEdges()
+		want.PrimaryEdges = want.LocalEdges
+		if st := e.Stats()[0]; st != want {
+			t.Fatalf("stats %+v, want %+v", st, want)
+		}
+		if e.Epoch() != c.Epoch() || e.Batches() != c.BatchNumber() || e.NumEdges() != want.LocalEdges {
+			t.Fatalf("epoch %d, batches %d, edges %d; the CPLDS has %d, %d, %d",
+				e.Epoch(), e.Batches(), e.NumEdges(), c.Epoch(), c.BatchNumber(), want.LocalEdges)
+		}
+		e.LocalCPLDS(0).Levels(got)
+		c.Levels(ref)
+		for v := range ref {
+			if got[v] != ref[v] {
+				t.Fatalf("vertex %d: level %d, the CPLDS %d", v, got[v], ref[v])
+			}
 		}
 	}
-	if got, want := e.NumEdges(), c.Graph().NumEdges(); got != want {
-		t.Fatalf("edge count %d, want %d", got, want)
+	for _, b := range gen.Batches(ring[:live], live/3) {
+		step(b, nil)
 	}
+	for i, head := 0, live; i < slides; i, head = i+1, head+k {
+		ins := append([]graph.Edge(nil), ring[head:head+k]...)
+		del := append([]graph.Edge(nil), ring[head-live:head-live+k]...)
+		fresh := ins[0]
+		ins = append(ins, ins[1], graph.Edge{U: ins[2].V, V: ins[2].U}, // duplicates
+			graph.Edge{U: 5, V: 5},             // self-loop
+			graph.Edge{U: uint32(n) + 3, V: 1}) // out of range
+		del = append(del, fresh, del[0], graph.Edge{U: 9, V: uint32(n)}) // both sides; duplicate; out of range
+		step(ins, del)
+	}
+	step(nil, ring[:3]) // deletion-only round
+	step(nil, nil)      // all-empty: no epoch
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOneShardApplyAllocs: the one-shard path adds no allocation to a
+// steady-state batch over InsertBatch+DeleteBatch on a bare CPLDS.
+func TestOneShardApplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under -race")
+	}
+	old := parallel.Workers()
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(old)
+	const n, live, k = 1000, 3000, 100
+	ring := slidingWindow(n, 6000, 17)
+	e := New(n, 1, defaultP())
+	c := cplds.New(n, defaultP())
+	e.Insert(ring[:live])
+	c.InsertBatch(ring[:live])
+	// Alternate two batches: x is absent and y present, then the reverse.
+	flip := func(apply func(ins, del []graph.Edge)) func() {
+		x, y := ring[live:live+k], ring[:k]
+		return func() {
+			apply(x, y)
+			x, y = y, x
+		}
+	}
+	bare := testing.AllocsPerRun(10, flip(func(ins, del []graph.Edge) {
+		c.InsertBatch(ins)
+		c.DeleteBatch(del)
+	}))
+	one := testing.AllocsPerRun(10, flip(func(ins, del []graph.Edge) { e.Apply(ins, del) }))
+	if one > bare {
+		t.Fatalf("one-shard Apply: %.1f allocs per batch, bare CPLDS %.1f", one, bare)
 	}
 }
 
@@ -104,9 +191,10 @@ func TestApplyDedupesInsertDeletePairs(t *testing.T) {
 	const n = 100
 	e := New(n, 4, defaultP())
 
-	// Same edge inserted and deleted in one submission: the deletion
-	// sub-batch wins (matching the single-engine insert-then-delete order),
-	// and since the edge was never present, neither side counts.
+	// Same edge inserted and deleted in one submission: the coalescer keeps
+	// only the deletion, the later sub-batch, and since the edge was never
+	// present, neither side counts. (At P = 1 the pair is inserted and then
+	// deleted, counting on both sides; see TestSingleShardMatchesCPLDS.)
 	ins, del := e.Apply([]graph.Edge{{U: 1, V: 2}}, []graph.Edge{{U: 2, V: 1}})
 	if ins != 0 || del != 0 {
 		t.Fatalf("insert+delete of absent edge applied (%d,%d), want (0,0)", ins, del)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"kcore/internal/cplds"
 	"kcore/internal/lds"
 	"kcore/internal/shard"
 	"kcore/internal/stats"
@@ -19,31 +18,25 @@ type ReplayResult struct {
 	FinalEdges   int64
 }
 
-// replayTarget is the operation surface replay drives: the single CPLDS
-// and the sharded engine both adapt to it.
-type replayTarget struct {
-	insert func(op Op) int
-	delete func(op Op) int
-	read   func(v uint32) float64
-	edges  func() int64
-	check  func() error
-}
-
-// replay runs the trace against one target, timing update batches and
-// individual reads. Reads within a probe run on the replaying goroutine
-// (sequential replay reproduces the recorded operation order exactly).
-func replay(t *Trace, tgt replayTarget) (ReplayResult, error) {
+// Replay runs a trace against a fresh engine with the given shard count
+// (one shard is a single CPLDS; shards < 1 means one): updates go through the
+// engine's Insert/Delete from one sequential submitter, so the replay
+// reproduces the recorded operation order exactly, and reads through the
+// owning shard's lock-free protocol on the replaying goroutine. Update
+// batches and individual reads are timed.
+func Replay(t *Trace, params lds.Params, shards int) (ReplayResult, error) {
+	e := shard.New(t.NumVertices, shards, params)
 	var res ReplayResult
 	rec := stats.NewLatencyRecorder(1 << 12)
 	for i, op := range t.Ops {
 		switch op.Kind {
 		case OpInsert:
 			t0 := time.Now()
-			res.EdgesApplied += int64(tgt.insert(op))
+			res.EdgesApplied += int64(e.Insert(op.Edges))
 			res.UpdateTime += time.Since(t0)
 		case OpDelete:
 			t0 := time.Now()
-			res.EdgesApplied += int64(tgt.delete(op))
+			res.EdgesApplied += int64(e.Delete(op.Edges))
 			res.UpdateTime += time.Since(t0)
 		case OpRead:
 			for _, v := range op.Vertices {
@@ -51,7 +44,7 @@ func replay(t *Trace, tgt replayTarget) (ReplayResult, error) {
 					return res, fmt.Errorf("trace: read of out-of-range vertex %d at op %d", v, i)
 				}
 				t0 := time.Now()
-				tgt.read(v)
+				e.Read(v)
 				rec.Record(time.Since(t0))
 			}
 		default:
@@ -60,37 +53,9 @@ func replay(t *Trace, tgt replayTarget) (ReplayResult, error) {
 		res.Ops++
 	}
 	res.ReadLat = rec.Summarize()
-	res.FinalEdges = tgt.edges()
-	if err := tgt.check(); err != nil {
+	res.FinalEdges = e.NumEdges()
+	if err := e.CheckInvariants(); err != nil {
 		return res, fmt.Errorf("trace: invariants violated after replay: %w", err)
 	}
 	return res, nil
-}
-
-// Replay runs a trace against a fresh single CPLDS.
-func Replay(t *Trace, params lds.Params) (ReplayResult, error) {
-	c := cplds.New(t.NumVertices, params)
-	return replay(t, replayTarget{
-		insert: func(op Op) int { return c.InsertBatch(op.Edges) },
-		delete: func(op Op) int { return c.DeleteBatch(op.Edges) },
-		read:   c.Read,
-		edges:  func() int64 { return c.Graph().NumEdges() },
-		check:  c.CheckInvariants,
-	})
-}
-
-// ReplayShards runs a trace against a fresh sharded engine with the given
-// shard count: updates go through the batch-coalescing scheduler (one
-// sequential submitter, so the replay is deterministic), reads through the
-// owning shard's lock-free protocol. shards < 2 replays against a 1-shard
-// engine.
-func ReplayShards(t *Trace, params lds.Params, shards int) (ReplayResult, error) {
-	e := shard.New(t.NumVertices, shards, params)
-	return replay(t, replayTarget{
-		insert: func(op Op) int { return e.Insert(op.Edges) },
-		delete: func(op Op) int { return e.Delete(op.Edges) },
-		read:   e.Read,
-		edges:  e.NumEdges,
-		check:  e.CheckInvariants,
-	})
 }

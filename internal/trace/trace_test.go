@@ -117,7 +117,7 @@ func TestReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Replay(tr, lds.DefaultParams())
+	res, err := Replay(tr, lds.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestReplay(t *testing.T) {
 
 func TestReplayRejectsOutOfRangeRead(t *testing.T) {
 	tr := &Trace{NumVertices: 3, Ops: []Op{{Kind: OpRead, Vertices: []uint32{7}}}}
-	if _, err := Replay(tr, lds.DefaultParams()); err == nil {
+	if _, err := Replay(tr, lds.DefaultParams(), 1); err == nil {
 		t.Fatal("want error for out-of-range read")
 	}
 }
@@ -147,11 +147,11 @@ func TestReplayDeterministicFinalState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Replay(tr, lds.DefaultParams())
+	a, err := Replay(tr, lds.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Replay(tr, lds.DefaultParams())
+	b, err := Replay(tr, lds.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,35 +160,28 @@ func TestReplayDeterministicFinalState(t *testing.T) {
 	}
 }
 
-// TestReplayShards replays a churning trace through the sharded engine and
-// asserts the replayed coreness state matches a fresh sharded build of the
-// same trace at the same epoch — replay is a sequential submitter, so both
-// runs commit the identical batch sequence. It also cross-checks the
-// single-engine replay: a 1-shard engine must agree with the plain CPLDS
-// replay edge-for-edge.
+// TestReplayShards replays a churning trace at one and at three shards and
+// asserts the replayed coreness state matches a fresh build of the same
+// trace at the same epoch — replay is a sequential submitter, so both runs
+// commit the identical batch sequence. The global edge count does not
+// depend on the shard count.
 func TestReplayShards(t *testing.T) {
 	tr, err := Synthesize("tiny", 800, 25, 0.25, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := Replay(tr, lds.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	var finalEdges []int64
 	for _, shards := range []int{1, 3} {
-		res, err := ReplayShards(tr, lds.DefaultParams(), shards)
+		res, err := Replay(tr, lds.DefaultParams(), shards)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if res.Ops != len(tr.Ops) {
 			t.Fatalf("shards=%d: replayed %d/%d ops", shards, res.Ops, len(tr.Ops))
 		}
-		if res.FinalEdges != single.FinalEdges {
-			t.Fatalf("shards=%d: final edges %d, single-engine replay %d",
-				shards, res.FinalEdges, single.FinalEdges)
-		}
-		if res.ReadLat.Count != single.ReadLat.Count {
-			t.Fatalf("shards=%d: %d reads, want %d", shards, res.ReadLat.Count, single.ReadLat.Count)
+		finalEdges = append(finalEdges, res.FinalEdges)
+		if res.FinalEdges != finalEdges[0] {
+			t.Fatalf("shards=%d: final edges %d, one-shard replay %d", shards, res.FinalEdges, finalEdges[0])
 		}
 
 		// Fresh build: apply the trace's updates again (no timing, no reads)

@@ -4,12 +4,13 @@
 //
 // # Model
 //
-// The engines apply updates in batches, and the same batch stream
+// The engine applies updates in batches, and the same batch stream
 // reproduces byte-identical state (the replay-parity property the trace
 // tests pin down). Durability therefore reduces to logging the *applied*
-// batch stream: after every committed batch the engine hands the WAL one
-// Batch record — the shard it ran on, the shard's post-batch local epoch,
-// and the coalesced insert/delete sub-batches — and the WAL appends it to a
+// batch stream: after every committed round the engine hands the WAL one
+// Batch record — the shard it ran on, the shard's post-round local epoch,
+// and the round's insert/delete sub-batches (as submitted with one shard,
+// coalesced with more) — and the WAL appends it to a
 // segmented, CRC-framed log. In sharded mode each shard's records are
 // appended in its local commit order (the append runs inside the shard's
 // one-updater section), so the log is a linearization of the per-shard
@@ -179,10 +180,10 @@ type ShardState struct {
 	Inserted, Deleted int64
 }
 
-// Engine is the surface the WAL drives. Both backends (the single-CPLDS
-// engine and the sharded engine) implement it; wal deliberately imports
-// only the graph package, so the engines can import wal for the Batch and
-// ShardState types without a cycle.
+// Engine is the surface the WAL drives, implemented by shard.Engine at
+// every shard count; wal deliberately imports only the graph package, so
+// the engine can import wal for the Batch and ShardState types without a
+// cycle.
 //
 // SetBatchLog, Quiesce, ApplyLogged, ShardDurable and RestoreShard are
 // quiescent-coordination methods: SetBatchLog and RestoreShard are called

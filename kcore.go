@@ -35,9 +35,10 @@
 // View's epoch is held for as long as the pin, and reads of epochs that
 // aged out fail with errors matching ErrEpochEvicted.
 //
-// Updates must be issued from one goroutine at a time (any number of
-// concurrent updaters with WithShards); reads may be issued from any number
-// of goroutines at any time, including concurrently with a running batch.
+// Updates and reads may be issued from any number of goroutines at any
+// time, reads including concurrently with a running batch. With one shard
+// (the default) concurrent updates apply one after another; with
+// WithShards they are coalesced per shard.
 package kcore
 
 import (
@@ -123,22 +124,21 @@ func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
 
-// WithShards partitions the vertices across p independent CPLDS shards
-// fronted by a batch-coalescing scheduler. WithShards(1) is exactly the
-// default single-engine configuration (as is WithShards(0)); negative p is
-// rejected by New.
+// WithShards partitions the vertices across p independent CPLDS shards.
+// The default, WithShards(1) (as is WithShards(0)), is one CPLDS behind a
+// mutex; negative p is rejected by New.
 //
-// With p > 1, InsertEdges, DeleteEdges and ApplyBatch become safe for
-// concurrent callers — submissions queued behind an in-flight batch are
-// coalesced into per-shard sub-batches and applied to the shards in
-// parallel. Coreness reads stay lock-free and route directly to the
-// vertex's owning shard. The estimate returned for v is then the
-// (2+ε)-approximate coreness of v in its owning shard's subgraph (all
-// edges incident to the shard's vertices). Because that subgraph's exact
-// coreness never exceeds the global one, the estimate still respects the
-// upper side of the approximation bound against v's global coreness, but
-// it may undershoot the global value by more than the factor; run with
-// p = 1 when the full global guarantee is required.
+// With p > 1 a batch-coalescing scheduler fronts the shards: submissions
+// queued behind an in-flight batch are coalesced into per-shard sub-batches
+// (an edge both inserted and deleted in one call is only deleted) and
+// applied to the shards in parallel. Coreness reads stay lock-free and
+// route directly to the vertex's owning shard. The estimate returned for
+// v is then the (2+ε)-approximate coreness of v in its owning shard's
+// subgraph (all edges incident to the shard's vertices). Because that
+// subgraph's exact coreness never exceeds the global one, the estimate
+// still respects the upper side of the approximation bound against v's
+// global coreness, but it may undershoot the global value by more than the
+// factor; run with p = 1 when the full global guarantee is required.
 func WithShards(p int) Option {
 	return func(o *options) { o.shards = p }
 }
@@ -317,20 +317,18 @@ func WithEventBuffer(n int) Option {
 }
 
 // Decomposition maintains an approximate k-core decomposition of a dynamic
-// undirected graph. All methods dispatch through one internal engine
-// interface with two implementations: the single-CPLDS backend (default)
-// and the sharded backend (WithShards); there is no per-method branching on
-// the mode.
+// undirected graph. It runs on one engine (internal/shard) for every shard
+// count: one shard is a CPLDS behind a mutex, more shards add cut-edge
+// mirroring and a batch-coalescing scheduler.
 //
-// Concurrency: without sharding (the default), InsertEdges and DeleteEdges
-// must be called by a single updater goroutine at a time (each call is
-// internally parallel). With WithShards(p > 1), the edge-batch update
-// methods (InsertEdges, DeleteEdges, ApplyBatch — not RemoveVertex) are
-// safe for concurrent callers and are coalesced by the sharded engine.
-// Coreness, CorenessNonLinearizable, CorenessBlocking, View and all View
-// reads may be called from any goroutine at any time in either mode.
+// Concurrency: the edge-batch update methods (InsertEdges, DeleteEdges,
+// ApplyBatch — not RemoveVertex) are safe for concurrent callers; each call
+// is internally parallel. With one shard concurrent calls wait for each
+// other; with WithShards(p > 1) they are coalesced per shard. Coreness,
+// CorenessNonLinearizable, CorenessBlocking, View and all View reads may
+// be called from any goroutine at any time.
 type Decomposition struct {
-	eng engine
+	eng *shard.Engine
 	wal *wal.Manager // nil without WithWAL
 
 	// Change feed: always constructed (an idle hub costs one atomic load
@@ -389,17 +387,12 @@ func New(n int, opts ...Option) (*Decomposition, error) {
 	if o.workers > 0 {
 		parallel.SetWorkers(o.workers)
 	}
-	var eng engine
-	if o.shards > 1 {
-		eng = shard.New(n, o.shards, o.params)
-	} else {
-		eng = newSingleEngine(n, o.params)
-	}
+	eng := shard.New(n, o.shards, o.params)
 	d := &Decomposition{eng: eng}
 	if o.walDir != "" {
 		// Recovery must precede retention setup: the multi-version logs
 		// initialize from the recovered per-shard epochs.
-		m, err := wal.Open(o.walDir, eng.(wal.Engine), wal.Options{
+		m, err := wal.Open(o.walDir, eng, wal.Options{
 			Sync:          wal.SyncPolicy(o.walOpts.Sync),
 			SyncEvery:     o.walOpts.SyncEvery,
 			SegmentBytes:  o.walOpts.SegmentBytes,
@@ -429,7 +422,7 @@ func New(n int, opts ...Option) (*Decomposition, error) {
 		if d.wal != nil {
 			src = d.wal
 		} else {
-			d.tailSrc = wal.NewTailSource(eng.(wal.Engine))
+			d.tailSrc = wal.NewTailSource(eng)
 			src = d.tailSrc
 		}
 		d.feeder = replica.NewFeeder(src, replica.FeederOptions{
@@ -447,7 +440,7 @@ func New(n int, opts ...Option) (*Decomposition, error) {
 		go d.feederSrv.Serve(ln)
 	}
 	if o.replSource != "" {
-		fol, err := replica.StartFollower(eng.(replica.Engine), o.replSource, replica.FollowerOptions{
+		fol, err := replica.StartFollower(eng, o.replSource, replica.FollowerOptions{
 			DialTimeout:   o.replOpts.DialTimeout,
 			StreamTimeout: o.replOpts.StreamTimeout,
 			BackoffMin:    o.replOpts.BackoffMin,
@@ -727,15 +720,14 @@ type ShardLoad struct {
 	OwnedVertices int    // vertices hashed to this shard
 	PrimaryEdges  int64  // distinct global edges it owns
 	LocalEdges    int64  // edges in its local subgraph (incl. mirrored cut edges)
-	Batches       uint64 // coalesced update batches applied
+	Batches       uint64 // update batches applied (see BatchNumber)
 	Inserted      int64  // cumulative edges applied locally
 	Deleted       int64
 }
 
-// ShardStats returns per-shard load statistics. With sharding it is safe to
-// call concurrently with updates and reads; without sharding the single
-// entry reflects the whole engine and must not race an update batch (the
-// edge count is not synchronized in that mode).
+// ShardStats returns per-shard load statistics (one entry covering the
+// whole graph with one shard). It is safe to call concurrently with updates
+// and reads.
 func (d *Decomposition) ShardStats() []ShardLoad {
 	stats := d.eng.Stats()
 	out := make([]ShardLoad, len(stats))
@@ -756,17 +748,18 @@ func (d *Decomposition) ShardStats() []ShardLoad {
 // NumVertices returns the (fixed) number of vertices.
 func (d *Decomposition) NumVertices() int { return d.eng.NumVertices() }
 
-// NumEdges returns the number of edges currently in the graph. Without
-// sharding it must not be called concurrently with an update batch; with
-// sharding it is safe at any time.
+// NumEdges returns the number of edges currently in the graph. It is safe
+// to call at any time.
 func (d *Decomposition) NumEdges() int64 { return d.eng.NumEdges() }
 
 // ApproxFactor returns the theoretical approximation factor of coreness
 // estimates (per shard, when sharded).
 func (d *Decomposition) ApproxFactor() float64 { return d.eng.ApproxFactor() }
 
-// BatchNumber returns the number of update batches processed so far
-// (summed across shards, when sharded).
+// BatchNumber returns the number of update batches processed so far: with
+// one shard every non-empty insertion or deletion sub-batch counts (so a
+// mixed ApplyBatch counts two), when sharded the coalesced per-shard
+// rounds are summed.
 func (d *Decomposition) BatchNumber() uint64 { return d.eng.Batches() }
 
 // Epoch returns the current committed epoch: the number of update batches
@@ -825,7 +818,8 @@ func (d *Decomposition) DeleteEdges(edges []Edge) int {
 // sub-batches during pre-processing", §2). It returns the number of edges
 // inserted and deleted. Concurrent reads remain linearizable; each
 // sub-batch is its own atomicity unit (per shard, when sharded) and
-// commits its own epoch.
+// commits its own epoch. With WithShards(p > 1) the two sub-batches are
+// coalesced per shard, so an edge in both lists is only deleted.
 func (d *Decomposition) ApplyBatch(insertions, deletions []Edge) (inserted, deleted int) {
 	if d.ReadOnly() {
 		return 0, 0
@@ -838,9 +832,9 @@ func (d *Decomposition) ApplyBatch(insertions, deletions []Edge) (inserted, dele
 // vertex-deletion operation the paper notes batch-dynamic structures
 // support via edge updates (footnote 1). It returns the number of edges
 // removed. It must not run concurrently with any other update call — even
-// in sharded mode, where the edge-batch operations accept concurrent
-// callers — because the incident-edge snapshot and the deletion batch are
-// two steps; concurrent reads stay linearizable throughout.
+// though the edge-batch operations accept concurrent callers — because the
+// incident-edge snapshot and the deletion batch are two steps; concurrent
+// reads stay linearizable throughout.
 func (d *Decomposition) RemoveVertex(v uint32) int {
 	if d.ReadOnly() || int(v) >= d.eng.NumVertices() {
 		return 0

@@ -111,7 +111,7 @@ func TestShardStatsPublicAPI(t *testing.T) {
 		t.Fatalf("primary sum %d != NumEdges %d", primary, d.NumEdges())
 	}
 
-	// Single-engine mode: one entry covering everything.
+	// One shard: one entry covering everything.
 	s1, err := New(50)
 	if err != nil {
 		t.Fatal(err)
@@ -119,16 +119,16 @@ func TestShardStatsPublicAPI(t *testing.T) {
 	s1.InsertEdges([]Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	stats = s1.ShardStats()
 	if len(stats) != 1 {
-		t.Fatalf("single-engine ShardStats has %d entries", len(stats))
+		t.Fatalf("one-shard ShardStats has %d entries", len(stats))
 	}
 	if stats[0].OwnedVertices != 50 || stats[0].LocalEdges != 2 || stats[0].Batches != 1 {
-		t.Fatalf("single-engine stats %+v", stats[0])
+		t.Fatalf("one-shard stats %+v", stats[0])
 	}
 	if stats[0].Inserted != 2 || stats[0].Deleted != 0 {
-		t.Fatalf("single-engine cumulative counters %+v", stats[0])
+		t.Fatalf("one-shard cumulative counters %+v", stats[0])
 	}
 	s1.DeleteEdges([]Edge{{U: 0, V: 1}})
 	if got := s1.ShardStats()[0]; got.Deleted != 1 || got.LocalEdges != 1 {
-		t.Fatalf("single-engine stats after delete %+v", got)
+		t.Fatalf("one-shard stats after delete %+v", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"kcore/internal/apps"
+	"kcore/internal/shard"
 )
 
 // View is an epoch-pinned read handle over a Decomposition.
@@ -50,7 +51,7 @@ import (
 // commit vector recorded at that epoch's commit, so retired reads are one
 // consistent cross-shard cut.
 type View struct {
-	eng    engine
+	eng    *shard.Engine
 	epoch  uint64
 	fixed  bool
 	pinned bool
