@@ -55,10 +55,10 @@ import (
 	"syscall"
 	"time"
 
+	"kcore"
 	"kcore/internal/faultfs"
 	"kcore/internal/graph"
 	"kcore/internal/lds"
-	"kcore/internal/replica"
 	"kcore/internal/server"
 	"kcore/internal/wal"
 )
@@ -120,8 +120,7 @@ func main() {
 	if *replListen != "" {
 		opts = append(opts, server.WithReplicationListen(*replListen))
 		if *replRetain != 0 {
-			opts = append(opts, server.WithReplicationOptions(
-				replica.FeederOptions{RetainBatches: *replRetain}, replica.FollowerOptions{}))
+			opts = append(opts, server.WithReplicationOptions(kcore.ReplicationOptions{RetainBatches: *replRetain}))
 		}
 	}
 	if *replFrom != "" {
@@ -138,7 +137,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("kcore-server: %v", err)
 		}
-		wo := wal.Options{
+		wo := kcore.WALOptions{
 			Sync:          policy,
 			SyncEvery:     *fsyncEvery,
 			SnapshotEvery: *snapEvery,

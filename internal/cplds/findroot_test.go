@@ -22,7 +22,8 @@ func markWords(c *CPLDS, parents map[uint32]int32) {
 }
 
 // checkParentChains reports the first marked vertex whose parent chain is
-// not strictly decreasing or does not reach a marked root within n steps.
+// not strictly decreasing, leaves the current batch's stamp, or does not
+// reach a marked root within n steps.
 func checkParentChains(c *CPLDS, marked []uint32) error {
 	n := c.NumVertices()
 	for _, v := range marked {
@@ -32,7 +33,11 @@ func checkParentChains(c *CPLDS, marked []uint32) error {
 			if d == nil {
 				return fmt.Errorf("chain of %d reaches unmarked vertex %d", v, w)
 			}
-			p := parentOf(d.word.Load())
+			word := d.word.Load()
+			if stamp := uint32(word >> 32); stamp != c.stamp {
+				return fmt.Errorf("chain of %d reaches %d with stamp %d, want %d", v, w, stamp, c.stamp)
+			}
+			p := parentOf(word)
 			if p == Root {
 				break
 			}
@@ -46,6 +51,83 @@ func checkParentChains(c *CPLDS, marked []uint32) error {
 		}
 	}
 	return nil
+}
+
+// checkMarkedDAG asserts the DAG invariant over every marked descriptor
+// that carries the current stamp, not only over a given marked list: each
+// parent is a smaller id holding a current-stamp descriptor, so every chain
+// strictly decreases, is acyclic and ends at a root.
+func checkMarkedDAG(c *CPLDS) error {
+	var marked []uint32
+	for v := range c.desc {
+		if d := c.desc[v].Load(); d != nil && uint32(d.word.Load()>>32) == c.stamp {
+			marked = append(marked, uint32(v))
+		}
+	}
+	return checkParentChains(c, marked)
+}
+
+// TestCheckDAGCompressionAfterRelink drives the reader-side compression in
+// checkDAG, which CASes the entry descriptor's parent to the root it
+// observed, against the relinks concurrent unions make. Worker-free and
+// deterministic: the descriptor words are set by hand, one ancestor is
+// relinked between reads as a union would, and parent < child must hold
+// everywhere after every read.
+func TestCheckDAGCompressionAfterRelink(t *testing.T) {
+	const zz, z, x, a, u, v = 1, 2, 3, 4, 5, 6 // z′ < z < x < a < u < v
+	c := newC(8)
+	c.stamp = 7
+	markWords(c, map[uint32]int32{v: a, u: a, a: x, x: Root, z: Root, zz: Root})
+	read := func(w uint32, wantParent int32) {
+		t.Helper()
+		if c.checkDAG(c.desc[w].Load()) != Marked {
+			t.Fatalf("DAG of %d reads unmarked", w)
+		}
+		if err := checkMarkedDAG(c); err != nil {
+			t.Fatal(err)
+		}
+		if p, _ := c.desc[w].Load().Parent(); p != wantParent {
+			t.Fatalf("parent of %d = %d, want %d", w, p, wantParent)
+		}
+	}
+	read(v, x) // v → a → x: v is compressed to x
+
+	// Unions link x under z, then z under z′, as the updater's CAS does;
+	// readers entering below compress to whichever root they observe.
+	c.desc[x].Load().word.Store(packWord(c.stamp, z))
+	read(u, z) // u → a → x → z
+	read(v, z) // v → x → z
+	c.desc[z].Load().word.Store(packWord(c.stamp, zz))
+	read(a, zz) // a → x → z → z′
+	read(v, zz) // v → z → z′
+
+	// Randomised: unions (the updater's findRoot compression) interleaved
+	// with reader compressions from every entry keep the invariant.
+	rng := rand.New(rand.NewSource(1))
+	const n = 64
+	for trial := 0; trial < 200; trial++ {
+		c := newC(n)
+		c.stamp = uint32(trial + 1)
+		words := map[uint32]int32{}
+		for w := uint32(0); w < n; w++ {
+			if w == 0 || rng.Intn(4) == 0 {
+				words[w] = Root
+			} else {
+				words[w] = int32(rng.Intn(int(w)))
+			}
+		}
+		markWords(c, words)
+		for step := 0; step < 50; step++ {
+			if rng.Intn(3) == 0 {
+				c.union(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
+			} else if c.checkDAG(c.desc[rng.Intn(n)].Load()) != Marked {
+				t.Fatalf("trial %d: a fully marked forest reads unmarked", trial)
+			}
+			if err := checkMarkedDAG(c); err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
+		}
+	}
 }
 
 // TestFindRootCompressAfterRelink replays the interleaving in which path
@@ -97,8 +179,11 @@ func TestFindRootParentChainsUnderParallelUnions(t *testing.T) {
 		c := New(n, params)
 		var failed error
 		c.beforeUnmark = func(_ plds.Kind, marked []uint32) {
-			if err := checkParentChains(c, marked); err != nil && failed == nil {
-				failed = err
+			if failed != nil {
+				return
+			}
+			if failed = checkParentChains(c, marked); failed == nil {
+				failed = checkMarkedDAG(c)
 			}
 		}
 		rng := rand.New(rand.NewSource(int64(workers)))

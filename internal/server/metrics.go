@@ -116,12 +116,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge := func(name, help string, v any) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
 	}
-	gauge("kcore_epoch", "Committed cross-shard epoch.", s.eng.Epoch())
-	gauge("kcore_edges", "Edges currently in the graph.", s.eng.NumEdges())
-	gauge("kcore_vertices", "Vertex capacity.", s.eng.NumVertices())
-	gauge("kcore_shards", "Engine shards.", s.eng.NumShards())
+	gauge("kcore_epoch", "Committed cross-shard epoch.", s.d.Epoch())
+	gauge("kcore_edges", "Edges currently in the graph.", s.d.NumEdges())
+	gauge("kcore_vertices", "Vertex capacity.", s.d.NumVertices())
+	gauge("kcore_shards", "Engine shards.", s.d.Shards())
 
-	fs := s.hub.Stats()
+	fs := s.d.FeedStats()
 	gauge("kcore_feed_subscribers", "Currently attached change-feed subscribers.", fs.Subscribers)
 	gauge("kcore_feed_epochs_total", "Commits published to the change feed.", fs.Epochs)
 	gauge("kcore_feed_events_total", "Coreness-change events offered to the feed.", fs.Events)
@@ -129,8 +129,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("kcore_feed_drops_total", "Deliveries dropped at full subscriber buffers.", fs.Drops)
 	gauge("kcore_feed_gaps_total", "Gap markers delivered to slow subscribers.", fs.Gaps)
 
-	if s.wal != nil {
-		st := s.wal.Stats()
+	if st, ok := s.d.DurabilityStats(); ok {
 		degraded := 0
 		if st.Degraded {
 			degraded = 1
@@ -139,17 +138,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("kcore_wal_log_bytes", "Total bytes across live WAL segments.", st.LogBytes)
 	}
 
+	rs, _ := s.d.ReplicationStats()
 	switch {
-	case s.feeder != nil:
-		st := s.feeder.Stats()
+	case rs.Feeder != nil:
+		st := rs.Feeder
 		gauge("kcore_replication_followers", "Currently connected followers.", st.Followers)
 		gauge("kcore_replication_bytes_shipped_total", "Stream bytes shipped to followers.", st.BytesShipped)
 		gauge("kcore_replication_records_shipped_total", "Batch records shipped to followers.", st.RecordsShipped)
 		gauge("kcore_replication_overruns_total", "Followers dropped for falling behind the tail buffer.", st.Overruns)
 		gauge("kcore_replication_resumes_total", "Reconnects served from the retained ring (no snapshot transfer).", st.Resumes)
 		gauge("kcore_replication_resume_rejects_total", "Resume cursors outside retention, told to re-bootstrap.", st.ResumeRejects)
-	case s.follower != nil:
-		st := s.follower.Stats()
+	case rs.Follower != nil:
+		st := rs.Follower
 		connected := 0
 		if st.Connected {
 			connected = 1

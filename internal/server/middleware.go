@@ -358,18 +358,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // bootstrapping (or cut off from the primary mid-reconnect) answers 503
 // "syncing" so it is not routed read traffic while stale.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.follower != nil && !s.follower.Synced() {
-		st := s.follower.Stats()
+	if rs, _ := s.d.ReplicationStats(); rs.Follower != nil && !rs.Follower.Synced {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = writeJSONBody(w, healthResponse{Status: "syncing", Error: st.Err})
+		_ = writeJSONBody(w, healthResponse{Status: "syncing", Error: rs.Follower.Err})
 		return
 	}
-	if s.wal == nil || !s.wal.Degraded() {
+	st, durable := s.d.DurabilityStats()
+	if !durable || !st.Degraded {
 		writeJSON(w, healthResponse{Status: "ready"})
 		return
 	}
-	st := s.wal.Stats()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
 	_ = writeJSONBody(w, healthResponse{

@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"kcore"
 	"kcore/internal/faultfs"
 	"kcore/internal/lds"
-	"kcore/internal/wal"
 )
 
 // newTestService builds the Server (for direct access to gates, counters
@@ -297,9 +297,9 @@ func TestReadyzDegradedThenReattach(t *testing.T) {
 	// disabled and the transition is driven explicitly.
 	inj := faultfs.New(nil)
 	dir := t.TempDir()
-	s, ts := newTestService(t, WithWAL(dir, wal.Options{
+	s, ts := newTestService(t, WithWAL(dir, kcore.WALOptions{
 		FS:            inj,
-		Sync:          wal.SyncAlways,
+		Sync:          kcore.SyncAlways,
 		AppendRetries: -1,
 		ReattachEvery: -1,
 	}))

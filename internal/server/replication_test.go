@@ -13,10 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"kcore"
 	"kcore/internal/graph"
 	"kcore/internal/lds"
-	"kcore/internal/replica"
-	"kcore/internal/wal"
 )
 
 // jsonDecode is the goroutine-safe decode helper (no testing.T).
@@ -34,14 +33,13 @@ func readBody(t *testing.T, resp *http.Response) string {
 }
 
 func fastReplicationOptions() Option {
-	return WithReplicationOptions(
-		replica.FeederOptions{Heartbeat: 15 * time.Millisecond},
-		replica.FollowerOptions{
-			BackoffMin:    5 * time.Millisecond,
-			BackoffMax:    50 * time.Millisecond,
-			StreamTimeout: 2 * time.Second,
-			InitialSync:   5 * time.Second,
-		})
+	return WithReplicationOptions(kcore.ReplicationOptions{
+		Heartbeat:     15 * time.Millisecond,
+		BackoffMin:    5 * time.Millisecond,
+		BackoffMax:    50 * time.Millisecond,
+		StreamTimeout: 2 * time.Second,
+		InitialSync:   5 * time.Second,
+	})
 }
 
 // newReplicatedPair starts a primary serving a replication stream and a
@@ -86,12 +84,12 @@ func waitReplicaEpoch(t *testing.T, rep *Server, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if rep.eng.Epoch() == want {
+		if rep.Decomposition().Epoch() == want {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("replica stuck at epoch %d, want %d", rep.eng.Epoch(), want)
+	t.Fatalf("replica stuck at epoch %d, want %d", rep.Decomposition().Epoch(), want)
 }
 
 func TestReplicaServesParityAndRejectsWrites(t *testing.T) {
@@ -100,7 +98,7 @@ func TestReplicaServesParityAndRejectsWrites(t *testing.T) {
 			const n = 120
 			primary, rep, pts, rts := newReplicatedPair(t, n, shards)
 			applyRandomBatches(primary, n, 10, 25, 7)
-			waitReplicaEpoch(t, rep, primary.eng.Epoch())
+			waitReplicaEpoch(t, rep, primary.Decomposition().Epoch())
 
 			// Byte-identical bulk reads at the same epoch.
 			var vs []string
@@ -164,16 +162,15 @@ func TestEpochFloorWaitsAndSheds(t *testing.T) {
 	const n = 100
 	primary, rep, _, rts := newReplicatedPair(t, n, 2)
 	applyRandomBatches(primary, n, 4, 20, 3)
-	waitReplicaEpoch(t, rep, primary.eng.Epoch())
+	waitReplicaEpoch(t, rep, primary.Decomposition().Epoch())
 
-	// Cut the feed (injected fault), advance the primary: the replica lags.
-	primary.feeder.Pause()
-	time.Sleep(30 * time.Millisecond) // let in-flight records land
-	applyRandomBatches(primary, n, 4, 20, 4)
-	floor := primary.eng.Epoch()
+	// A floor four epochs past the primary's: no server can reach it until
+	// the primary commits that many more batches.
+	const ahead = 4
+	floor := primary.Decomposition().Epoch() + ahead
 
-	// Shed: a floor the lagging replica cannot reach within the wait
-	// budget answers 412 with the structured epoch_behind body.
+	// Shed: a floor the replica cannot reach within the wait budget
+	// answers 412 with the structured epoch_behind body.
 	rep.minEpochWait = 50 * time.Millisecond
 	resp := get(t, fmt.Sprintf("%s/coreness?v=1&min_epoch=%d", rts.URL, floor))
 	if resp.StatusCode != http.StatusPreconditionFailed {
@@ -194,8 +191,9 @@ func TestEpochFloorWaitsAndSheds(t *testing.T) {
 		t.Fatalf("lagging top floor read: status %d, want 412", resp.StatusCode)
 	}
 
-	// Block: with wait budget, a floor read issued while lagging is held
-	// until the resumed feed catches the replica up, then served at >= floor.
+	// Block: with wait budget, a floor read issued while behind is held
+	// until the primary commits past the floor and the replica applies it,
+	// then served at >= floor.
 	rep.minEpochWait = 10 * time.Second
 	type result struct {
 		status int
@@ -214,7 +212,12 @@ func TestEpochFloorWaitsAndSheds(t *testing.T) {
 		done <- result{status: resp.StatusCode, epoch: cr.Epoch}
 	}()
 	time.Sleep(50 * time.Millisecond) // the read is now parked on the floor
-	primary.feeder.Resume()
+	select {
+	case res := <-done:
+		t.Fatalf("floor read answered (status %d) before the primary reached the floor", res.status)
+	default:
+	}
+	applyRandomBatches(primary, n, ahead, 20, 4) // each batch commits >= 1 epoch
 	res := <-done
 	if res.status != http.StatusOK {
 		t.Fatalf("floor read after resume: status %d", res.status)
@@ -280,7 +283,7 @@ func TestReplicaNotReadyUntilSynced(t *testing.T) {
 	// itself not ready (syncing) while it has never bootstrapped.
 	s, err := New(50, lds.DefaultParams(),
 		WithReplicationSource("127.0.0.1:1"),
-		WithReplicationOptions(replica.FeederOptions{}, replica.FollowerOptions{
+		WithReplicationOptions(kcore.ReplicationOptions{
 			BackoffMin: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond,
 			InitialSync: -1, // don't block New
 		}))
@@ -305,7 +308,7 @@ func TestReplicationServerOptionValidation(t *testing.T) {
 		t.Fatal("listen+source must be rejected")
 	}
 	if _, err := New(10, lds.DefaultParams(),
-		WithWAL(t.TempDir(), wal.Options{}), WithReplicationSource("127.0.0.1:1")); err == nil {
+		WithWAL(t.TempDir(), kcore.WALOptions{}), WithReplicationSource("127.0.0.1:1")); err == nil {
 		t.Fatal("WAL on a replica must be rejected")
 	}
 }
@@ -337,7 +340,7 @@ func TestMetricsExposition(t *testing.T) {
 	const n = 100
 	primary, rep, pts, rts := newReplicatedPair(t, n, 2)
 	applyRandomBatches(primary, n, 3, 20, 9)
-	waitReplicaEpoch(t, rep, primary.eng.Epoch())
+	waitReplicaEpoch(t, rep, primary.Decomposition().Epoch())
 
 	// Generate traffic so the histograms have samples, including an error.
 	get(t, pts.URL+"/coreness?v=1")

@@ -42,12 +42,13 @@
 // code "epoch_behind". Bouncing between primary and replicas then never
 // reads time backwards.
 //
-// Reads are served directly from the CPLDS read protocol of the vertex's
-// owning shard and never block on updates. Update requests from concurrent
-// clients are handed to the engine: with one shard they apply one after
-// another, each as an insertion then a deletion sub-batch; with more, the
-// batch-coalescing scheduler folds them into per-shard sub-batches and
-// applies sub-batches of distinct shards in parallel.
+// The server is an HTTP front end over one kcore.Decomposition: the
+// engine, write-ahead log, change feed and replication role all come from
+// the library, configured by this package's options. Reads go through the
+// Decomposition's Views and never block on updates; update requests from
+// concurrent clients become ApplyBatch/InsertEdges/DeleteEdges calls, which
+// the engine applies one after another with one shard and coalesces into
+// per-shard sub-batches with more.
 //
 // Every read response carries an "epoch" field: the committed batch
 // boundary (cross-shard, when sharded) the response was served from.
@@ -73,20 +74,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"sync/atomic"
 	"time"
 
-	"kcore/internal/apps"
-	"kcore/internal/feed"
+	"kcore"
 	"kcore/internal/graph"
 	"kcore/internal/lds"
-	"kcore/internal/mvcc"
-	"kcore/internal/replica"
-	"kcore/internal/shard"
-	"kcore/internal/wal"
 )
 
 // DefaultMaxBatchEdges bounds the total number of edges accepted in one
@@ -96,15 +91,20 @@ const DefaultMaxBatchEdges = 1 << 20
 // DefaultRetainedEpochs is the default multi-version retention depth:
 // how many retired epochs stay servable through the requested-epoch read
 // forms. Override with WithRetainedEpochs.
-const DefaultRetainedEpochs = mvcc.DefaultRetain
+const DefaultRetainedEpochs = kcore.DefaultRetainedEpochs
 
-// Option configures a Server.
+// Option configures a Server. The engine's options (shards, retention,
+// WAL, replication, feed limits) are collected for kcore.New; the rest
+// configure the HTTP layer.
 type Option func(*Server)
 
-// WithShards sets the number of engine shards (default 1).
-func WithShards(p int) Option {
-	return func(s *Server) { s.shards = p }
+// engineOption collects o for the Decomposition New builds.
+func engineOption(o kcore.Option) Option {
+	return func(s *Server) { s.engineOpts = append(s.engineOpts, o) }
 }
+
+// WithShards sets the number of engine shards (default 1; p < 1 means 1).
+func WithShards(p int) Option { return engineOption(kcore.WithShards(max(p, 1))) }
 
 // WithMaxBatchEdges caps the total edges accepted per /edges/batch request.
 func WithMaxBatchEdges(max int) Option {
@@ -115,19 +115,12 @@ func WithMaxBatchEdges(max int) Option {
 // recent retired epochs stay servable through `?epoch=` / the bulk "epoch"
 // field. 0 disables requested-epoch reads (only the current epoch is
 // servable); negative values are clamped to 0.
-func WithRetainedEpochs(n int) Option {
-	return func(s *Server) { s.retained = n }
-}
+func WithRetainedEpochs(n int) Option { return engineOption(kcore.WithRetainedEpochs(max(n, 0))) }
 
 // WithWAL makes the service durable: applied batches are write-ahead
 // logged to dir and New recovers the pre-crash state from dir before
 // serving. The /stats response then carries a "durability" block.
-func WithWAL(dir string, o wal.Options) Option {
-	return func(s *Server) {
-		s.walDir = dir
-		s.walOpts = o
-	}
-}
+func WithWAL(dir string, o kcore.WALOptions) Option { return engineOption(kcore.WithWAL(dir, o)) }
 
 // WithRateLimit enables per-client token-bucket rate limiting: each
 // remote address may issue rps requests/second sustained with the given
@@ -170,7 +163,7 @@ const DefaultMinEpochWait = 2 * time.Second
 // (host:port; ":0" picks a free port, see ReplicationAddr). Composes with
 // WithWAL. Follower servers point WithReplicationSource here.
 func WithReplicationListen(addr string) Option {
-	return func(s *Server) { s.replListen = addr }
+	return engineOption(kcore.WithReplicationListen(addr))
 }
 
 // WithReplicationSource makes this server a read-only replica of the
@@ -180,17 +173,14 @@ func WithReplicationListen(addr string) Option {
 // state. Incompatible with WithWAL (durability belongs to the primary; a
 // restarted replica re-bootstraps).
 func WithReplicationSource(addr string) Option {
-	return func(s *Server) { s.replSource = addr }
+	return engineOption(kcore.WithReplicationSource(addr))
 }
 
 // WithReplicationOptions overrides the replication transport tuning
-// (heartbeat and tail buffer for the primary, timeouts and reconnect
-// backoff for a replica).
-func WithReplicationOptions(feed replica.FeederOptions, follow replica.FollowerOptions) Option {
-	return func(s *Server) {
-		s.replFeedOpts = feed
-		s.replFolOpts = follow
-	}
+// (heartbeat, tail buffer and retained batches for the primary, timeouts,
+// reconnect backoff and initial sync for a replica).
+func WithReplicationOptions(ro kcore.ReplicationOptions) Option {
+	return engineOption(kcore.WithReplicationOptions(ro))
 }
 
 // WithMinEpochWait bounds how long an epoch-floor read (min_epoch) may
@@ -203,25 +193,13 @@ func WithMinEpochWait(d time.Duration) Option {
 // WithMaxSubscribers caps concurrent /subscribe connections: the next
 // subscription answers 503 "overloaded". n <= 0 means unlimited (the
 // default).
-func WithMaxSubscribers(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxSubs = n
-		}
-	}
-}
+func WithMaxSubscribers(n int) Option { return engineOption(kcore.WithMaxSubscribers(max(n, 0))) }
 
 // WithEventBuffer sets the per-subscriber delivery buffer of /subscribe
-// streams, in per-epoch deliveries (default feed.DefaultBuffer). A
-// subscriber further behind than the buffer receives a gap marker instead
-// of the missed events. n <= 0 keeps the default.
-func WithEventBuffer(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.feedBuffer = n
-		}
-	}
-}
+// streams, in per-epoch deliveries (default 64). A subscriber further
+// behind than the buffer receives a gap marker instead of the missed
+// events. n <= 0 keeps the default.
+func WithEventBuffer(n int) Option { return engineOption(kcore.WithEventBuffer(max(n, 0))) }
 
 // WithFeedHeartbeat sets how often an idle /subscribe stream emits an SSE
 // comment line (default DefaultFeedHeartbeat). d <= 0 keeps the default.
@@ -229,43 +207,23 @@ func WithFeedHeartbeat(d time.Duration) Option {
 	return func(s *Server) { s.feedHeartbeat = d }
 }
 
-// Server is an HTTP k-core query/update service.
+// Server is an HTTP k-core query/update service over one
+// kcore.Decomposition.
 type Server struct {
-	eng *shard.Engine
-	wal *wal.Manager // nil without WithWAL
+	d          *kcore.Decomposition
+	engineOpts []kcore.Option // collected by the options for New
 
-	shards        int
 	maxBatchEdges int
-	retained      int
-	walDir        string
-	walOpts       wal.Options
-
-	rate       *rateLimiter  // nil = no rate limiting
-	gate       *inflightGate // nil = no in-flight cap
-	reqTimeout time.Duration // <= 0 = no per-request deadline
-
-	// Replication role (nil fields when off; at most one role is set).
-	replListen   string
-	replSource   string
-	replFeedOpts replica.FeederOptions
-	replFolOpts  replica.FollowerOptions
-	minEpochWait time.Duration
-	feeder       *replica.Feeder
-	feederSrv    *http.Server
-	feederLn     net.Listener
-	tailSrc      *wal.TailSource // batch tee when feeding without a WAL
-	follower     *replica.Follower
-
-	// Change feed (/subscribe). The hub always exists — an idle hub costs
-	// one atomic load per commit — so subscriptions work in every
-	// configuration, including on a replica.
-	hub           *feed.Hub
-	maxSubs       int           // 0 = unlimited
-	feedBuffer    int           // 0 = feed.DefaultBuffer
+	rate          *rateLimiter  // nil = no rate limiting
+	gate          *inflightGate // nil = no in-flight cap
+	reqTimeout    time.Duration // <= 0 = no per-request deadline
+	minEpochWait  time.Duration
 	feedHeartbeat time.Duration // 0 = DefaultFeedHeartbeat
 
 	metrics *metrics
 
+	// API-level counters: edges applied through this server and vertices
+	// read, as opposed to the engine's own per-shard counters.
 	inserted atomic.Int64
 	deleted  atomic.Int64
 	reads    atomic.Int64
@@ -276,135 +234,67 @@ type Server struct {
 	panics      atomic.Int64
 }
 
-// New creates a service over n vertices. It fails only when WithWAL is set
-// and the log directory cannot be opened or recovered.
+// New creates a service over n vertices. It fails when kcore.New does:
+// invalid parameters, conflicting replication roles, a WAL on a replica, a
+// log directory that cannot be opened or recovered, an unbindable
+// replication listener or a replica's failed initial sync.
 func New(n int, p lds.Params, opts ...Option) (*Server, error) {
 	s := &Server{
-		shards:        1,
 		maxBatchEdges: DefaultMaxBatchEdges,
-		retained:      DefaultRetainedEpochs,
 		minEpochWait:  DefaultMinEpochWait,
 		metrics:       newMetrics(),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.shards < 1 {
-		s.shards = 1
+	params := kcore.WithParams(kcore.Params{Delta: p.Delta, Lambda: p.Lambda})
+	d, err := kcore.New(n, append([]kcore.Option{params}, s.engineOpts...)...)
+	if err != nil {
+		return nil, err
 	}
-	if s.retained < 0 {
-		s.retained = 0
-	}
-	if s.replListen != "" && s.replSource != "" {
-		return nil, errors.New("server: WithReplicationListen and WithReplicationSource are mutually exclusive")
-	}
-	if s.replSource != "" && s.walDir != "" {
-		return nil, errors.New("server: WithWAL on a replica is unsupported (durability belongs to the primary)")
-	}
-	s.eng = shard.New(n, s.shards, p)
-	if s.walDir != "" {
-		// Recovery must precede retention setup: the multi-version vector
-		// log initializes from the recovered per-shard epochs.
-		m, err := wal.Open(s.walDir, s.eng, s.walOpts)
-		if err != nil {
-			return nil, fmt.Errorf("server: opening WAL: %w", err)
-		}
-		s.wal = m
-	}
-	s.eng.SetRetainedEpochs(s.retained)
-	// Attach the change feed before the engine serves traffic. On a
-	// replica the feed fires as replicated batches apply.
-	s.hub = feed.NewHub(s.maxSubs)
-	s.eng.SetEventHub(s.hub)
-	if s.replListen != "" {
-		var src wal.Source
-		if s.wal != nil {
-			src = s.wal
-		} else {
-			s.tailSrc = wal.NewTailSource(s.eng)
-			src = s.tailSrc
-		}
-		s.feeder = replica.NewFeeder(src, s.replFeedOpts)
-		ln, err := net.Listen("tcp", s.replListen)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("server: replication listener: %w", err)
-		}
-		s.feederLn = ln
-		s.feederSrv = &http.Server{Handler: s.feeder.Handler()}
-		go s.feederSrv.Serve(ln)
-	}
-	if s.replSource != "" {
-		fol, err := replica.StartFollower(s.eng, s.replSource, s.replFolOpts)
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		s.follower = fol
-	}
+	s.d = d
 	return s, nil
 }
 
+// Decomposition exposes the served decomposition (tests, bulk tooling).
+func (s *Server) Decomposition() *kcore.Decomposition { return s.d }
+
 // ReadOnly reports whether this server is a replica (WithReplicationSource).
-func (s *Server) ReadOnly() bool { return s.follower != nil }
+func (s *Server) ReadOnly() bool { return s.d.ReadOnly() }
 
 // ReplicationAddr returns the bound replication listener address
 // (WithReplicationListen; useful with ":0"), or "" when not a primary.
-func (s *Server) ReplicationAddr() string {
-	if s.feederLn == nil {
-		return ""
-	}
-	return s.feederLn.Addr().String()
-}
-
-// Engine exposes the underlying sharded engine (tests, bulk tooling).
-func (s *Server) Engine() *shard.Engine { return s.eng }
+func (s *Server) ReplicationAddr() string { return s.d.ReplicationAddr() }
 
 // Snapshot checkpoints the engine state to the WAL directory, truncating
 // the log's replay tail. It requires WithWAL.
-func (s *Server) Snapshot() error {
-	if s.wal == nil {
-		return errors.New("server: Snapshot requires WithWAL")
-	}
-	return s.wal.Snapshot()
-}
+func (s *Server) Snapshot() error { return s.d.Snapshot() }
 
-// Close stops replication (either role) and flushes and closes the
-// write-ahead log. Idempotent and safe to call concurrently with
-// Snapshot; a closed replica keeps serving its last applied state.
-func (s *Server) Close() error {
-	if s.follower != nil {
-		s.follower.Close()
-	}
-	if s.feederSrv != nil {
-		s.feederSrv.Close() // also closes feederLn
-	}
-	if s.tailSrc != nil {
-		s.tailSrc.Close()
-	}
-	if s.hub != nil {
-		s.hub.Close() // ends every /subscribe stream
-	}
-	if s.wal == nil {
-		return nil
-	}
-	return s.wal.Close()
-}
+// Close stops replication (either role), ends every /subscribe stream and
+// flushes and closes the write-ahead log. Idempotent and safe to call
+// concurrently with Snapshot; a closed replica keeps serving its last
+// applied state.
+func (s *Server) Close() error { return s.d.Close() }
 
 // Reattach attempts to restore durability after the WAL degraded (see
-// wal.Manager.Reattach). It requires WithWAL.
-func (s *Server) Reattach() error {
-	if s.wal == nil {
-		return errors.New("server: Reattach requires WithWAL")
-	}
-	return s.wal.Reattach()
-}
+// kcore.Decomposition.Reattach). It requires WithWAL.
+func (s *Server) Reattach() error { return s.d.Reattach() }
 
 // InsertBatch applies an insertion batch directly (bulk loading at
 // startup), with the same accounting as the HTTP endpoint.
 func (s *Server) InsertBatch(edges []graph.Edge) int {
-	applied := s.eng.Insert(edges)
+	applied := s.d.InsertEdges(toEdges(edges))
 	s.inserted.Add(int64(applied))
 	return applied
+}
+
+// toEdges copies parsed edges into the library's edge type.
+func toEdges[E graph.Edge | batchEdge](in []E) []kcore.Edge {
+	out := make([]kcore.Edge, len(in))
+	for i, e := range in {
+		out[i] = kcore.Edge(e)
+	}
+	return out
 }
 
 // Handler returns the HTTP handler for the service: the route mux with
@@ -456,7 +346,7 @@ func (s *Server) Handler() http.Handler {
 // primary's batch stream, never by local writes (which would fork it from
 // the primary permanently — there is no reconciliation).
 func (s *Server) readOnlyGuard(next http.Handler) http.Handler {
-	if s.follower == nil && s.replSource == "" {
+	if !s.d.ReadOnly() {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -473,15 +363,15 @@ type snapshotResponse struct {
 // handleSnapshot triggers a durability snapshot (an admin operation: it
 // checkpoints the engine and truncates the log's replay tail).
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.wal == nil {
+	if _, durable := s.d.DurabilityStats(); !durable {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "snapshots require a WAL (-wal)")
 		return
 	}
-	if err := s.wal.Snapshot(); err != nil {
+	if err := s.d.Snapshot(); err != nil {
 		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
 		return
 	}
-	writeJSON(w, snapshotResponse{Epoch: s.eng.Epoch()})
+	writeJSON(w, snapshotResponse{Epoch: s.d.Epoch()})
 }
 
 // corenessResponse is the JSON body of /coreness. Epoch is the committed
@@ -500,9 +390,9 @@ type corenessResponse struct {
 // epoch that has not committed yet.
 func writeEpochError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, mvcc.ErrEvicted):
+	case errors.Is(err, kcore.ErrEpochEvicted):
 		writeError(w, http.StatusGone, codeEvicted, err.Error())
-	case errors.Is(err, mvcc.ErrFuture):
+	case errors.Is(err, kcore.ErrFutureEpoch):
 		writeError(w, http.StatusNotFound, codeFuture, err.Error())
 	default:
 		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
@@ -555,7 +445,7 @@ type epochBehindResponse struct {
 // fast path — floor already committed, which is always the case on a
 // primary serving a floor it issued — costs one atomic load.
 func (s *Server) awaitEpochFloor(w http.ResponseWriter, r *http.Request, floor uint64) bool {
-	startEpoch := s.eng.Epoch()
+	startEpoch := s.d.Epoch()
 	if floor == 0 || startEpoch >= floor {
 		return true
 	}
@@ -567,20 +457,21 @@ func (s *Server) awaitEpochFloor(w http.ResponseWriter, r *http.Request, floor u
 			return false // client gone; nothing to answer
 		case <-time.After(time.Millisecond):
 		}
-		if s.eng.Epoch() >= floor {
+		if s.d.Epoch() >= floor {
 			return true
 		}
 		if !time.Now().Before(deadline) {
 			break
 		}
 	}
-	w.Header().Set("Retry-After", retryAfterSeconds(floor, startEpoch, s.eng.Epoch(), time.Since(start), s.minEpochWait))
+	now := s.d.Epoch()
+	w.Header().Set("Retry-After", retryAfterSeconds(floor, startEpoch, now, time.Since(start), s.minEpochWait))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusPreconditionFailed)
 	_ = writeJSONBody(w, epochBehindResponse{
-		Error:    fmt.Sprintf("committed epoch %d is behind the requested floor %d", s.eng.Epoch(), floor),
+		Error:    fmt.Sprintf("committed epoch %d is behind the requested floor %d", now, floor),
 		Code:     codeEpochBehind,
-		Epoch:    s.eng.Epoch(),
+		Epoch:    now,
 		MinEpoch: floor,
 	})
 	return false
@@ -617,21 +508,21 @@ func retryAfterSeconds(floor, startEpoch, nowEpoch uint64, waited, budget time.D
 	return strconv.FormatInt(secs, 10)
 }
 
-// serveAt runs read against the requested epoch with the epoch pinned for
-// the duration, so a response that starts serving cannot be torn by
+// serveAt runs read through a view fixed at the requested epoch and pinned
+// for the duration, so a response that starts serving cannot be torn by
 // concurrent eviction; on failure it writes the mapped HTTP error and
-// reports false. When the epoch cannot be pinned but is still the current
-// one — retention disabled, where only the current epoch is servable —
-// the read proceeds unpinned: ReadManyAt/ReadAllAt re-validate and fail
-// with the typed errors if a commit overtakes them.
-func (s *Server) serveAt(w http.ResponseWriter, epoch uint64, read func() error) bool {
-	err := s.eng.PinEpoch(epoch)
-	switch {
-	case err == nil:
-		defer s.eng.UnpinEpoch(epoch)
-		err = read()
-	case errors.Is(err, mvcc.ErrEvicted) && s.eng.CheckEpoch(epoch) == nil:
-		err = read()
+// reports false. When ViewAt succeeds but Pin fails with ErrEpochEvicted —
+// retention disabled, where only the current epoch is servable — the read
+// proceeds unpinned: fixed-view reads re-validate, and View.Err reports
+// the typed error if a commit overtook them.
+func (s *Server) serveAt(w http.ResponseWriter, epoch uint64, read func(*kcore.View)) bool {
+	view, err := s.d.ViewAt(epoch)
+	if err == nil {
+		if err = view.Pin(); err == nil || errors.Is(err, kcore.ErrEpochEvicted) {
+			defer view.Release() // no-op when unpinned
+			read(view)
+			err = view.Err()
+		}
 	}
 	if err != nil {
 		writeEpochError(w, err)
@@ -642,7 +533,7 @@ func (s *Server) serveAt(w http.ResponseWriter, epoch uint64, read func() error)
 
 func (s *Server) handleCoreness(w http.ResponseWriter, r *http.Request) {
 	v64, err := strconv.ParseUint(r.URL.Query().Get("v"), 10, 32)
-	if err != nil || int(v64) >= s.eng.NumVertices() {
+	if err != nil || int(v64) >= s.d.NumVertices() {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "bad or out-of-range vertex id")
 		return
 	}
@@ -661,14 +552,12 @@ func (s *Server) handleCoreness(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, codeBadRequest, "mode is incompatible with a requested epoch")
 			return
 		}
-		vs, out := [1]uint32{v}, [1]float64{}
-		if !s.serveAt(w, epoch, func() error {
-			return s.eng.ReadManyAt(vs[:], out[:], epoch)
-		}) {
+		var est float64
+		if !s.serveAt(w, epoch, func(view *kcore.View) { est = view.Coreness(v) }) {
 			return
 		}
 		s.reads.Add(1)
-		writeJSON(w, corenessResponse{Vertex: v, Coreness: out[0], Mode: "retained", Batch: s.eng.Batches(), Epoch: epoch})
+		writeJSON(w, corenessResponse{Vertex: v, Coreness: est, Mode: "retained", Batch: s.d.BatchNumber(), Epoch: epoch})
 		return
 	}
 	if mode == "" {
@@ -678,17 +567,19 @@ func (s *Server) handleCoreness(w http.ResponseWriter, r *http.Request) {
 	var epoch uint64
 	switch mode {
 	case "linearizable":
-		est, epoch = s.eng.ReadPinned(v)
+		view := s.d.View()
+		est = view.Coreness(v)
+		epoch = view.Epoch()
 	case "nonsync":
-		est, epoch = s.eng.ReadNonSync(v), s.eng.Epoch()
+		est, epoch = s.d.CorenessNonLinearizable(v), s.d.Epoch()
 	case "blocking":
-		est, epoch = s.eng.ReadSync(v), s.eng.Epoch()
+		est, epoch = s.d.CorenessBlocking(v), s.d.Epoch()
 	default:
 		writeError(w, http.StatusBadRequest, codeBadRequest, "unknown mode (want linearizable, nonsync or blocking)")
 		return
 	}
 	s.reads.Add(1)
-	writeJSON(w, corenessResponse{Vertex: v, Coreness: est, Mode: mode, Batch: s.eng.Batches(), Epoch: epoch})
+	writeJSON(w, corenessResponse{Vertex: v, Coreness: est, Mode: mode, Batch: s.d.BatchNumber(), Epoch: epoch})
 }
 
 // bulkRequest is the JSON body of POST /coreness/bulk: the vertices to
@@ -736,7 +627,7 @@ func (s *Server) handleCorenessBulk(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("bulk read of %d vertices exceeds limit %d", len(req.Vertices), s.maxBatchEdges))
 		return
 	}
-	n := uint32(s.eng.NumVertices())
+	n := uint32(s.d.NumVertices())
 	for _, v := range req.Vertices {
 		if v >= n {
 			writeError(w, http.StatusBadRequest, codeBadRequest,
@@ -751,13 +642,11 @@ func (s *Server) handleCorenessBulk(w http.ResponseWriter, r *http.Request) {
 	var epoch uint64
 	if req.Epoch != nil {
 		epoch = *req.Epoch
-		if !s.serveAt(w, epoch, func() error {
-			return s.eng.ReadManyAt(req.Vertices, out, epoch)
-		}) {
+		if !s.serveAt(w, epoch, func(view *kcore.View) { view.CorenessManyInto(req.Vertices, out) }) {
 			return
 		}
 	} else {
-		epoch = s.eng.ReadManyPinned(req.Vertices, out)
+		epoch = s.d.View().CorenessManyInto(req.Vertices, out)
 	}
 	s.reads.Add(int64(len(req.Vertices)))
 	writeJSON(w, bulkResponse{Vertices: req.Vertices, Coreness: out, Epoch: epoch})
@@ -782,54 +671,45 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	} else if !s.awaitEpochFloor(w, r, floor) {
 		return
 	}
-	n := s.eng.NumVertices()
-	scores := make([]float64, n)
+	var top []uint32
 	var epoch uint64
 	if e, ok, bad := epochParam(w, r); ok {
 		if bad {
 			return
 		}
 		epoch = e
-		if !s.serveAt(w, epoch, func() error {
-			return s.eng.ReadAllAt(scores, epoch)
-		}) {
+		if !s.serveAt(w, epoch, func(view *kcore.View) { top = view.TopK(k) }) {
 			return
 		}
 	} else {
-		epoch = s.eng.ReadAllPinned(scores)
+		view := s.d.View()
+		top = view.TopK(k)
+		epoch = view.Epoch()
 	}
-	s.reads.Add(int64(n))
-	writeJSON(w, topResponse{K: k, Vertices: apps.TopSpreaders(scores, k), Epoch: epoch})
+	s.reads.Add(int64(s.d.NumVertices()))
+	writeJSON(w, topResponse{K: k, Vertices: top, Epoch: epoch})
 }
 
 // statsResponse is the JSON body of /stats. ShardLoad carries the per-shard
 // load breakdown (owned vertices, edges, applied batches) that shard
-// rebalancing decisions are driven by.
+// rebalancing decisions are driven by. Replication is the feeder's
+// counters on a primary, the follower's sync/lag state on a replica.
 type statsResponse struct {
-	Vertices    int           `json:"vertices"`
-	Shards      int           `json:"shards"`
-	Edges       int64         `json:"edges"`
-	Batches     uint64        `json:"batches"`
-	Epoch       uint64        `json:"epoch"`
-	Retained    int           `json:"retained_epochs"`
-	OldestEpoch uint64        `json:"oldest_epoch"`
-	Inserted    int64         `json:"edges_inserted"`
-	Deleted     int64         `json:"edges_deleted"`
-	Reads       int64         `json:"reads_served"`
-	ShardLoad   []shard.Stats     `json:"shard_load"`
-	Feed        feed.Stats        `json:"feed"`
-	Durability  *wal.Stats        `json:"durability,omitempty"`
-	Replication *replicationStats `json:"replication,omitempty"`
-	Overload    overloadStats     `json:"overload"`
-}
-
-// replicationStats is the /stats replication block: the feeder's counters
-// on a primary, the follower's sync/lag state on a replica.
-type replicationStats struct {
-	Role       string                 `json:"role"` // "primary" or "replica"
-	ListenAddr string                 `json:"listen_addr,omitempty"`
-	Feeder     *replica.FeederStats   `json:"feeder,omitempty"`
-	Follower   *replica.FollowerStats `json:"follower,omitempty"`
+	Vertices    int                     `json:"vertices"`
+	Shards      int                     `json:"shards"`
+	Edges       int64                   `json:"edges"`
+	Batches     uint64                  `json:"batches"`
+	Epoch       uint64                  `json:"epoch"`
+	Retained    int                     `json:"retained_epochs"`
+	OldestEpoch uint64                  `json:"oldest_epoch"`
+	Inserted    int64                   `json:"edges_inserted"`
+	Deleted     int64                   `json:"edges_deleted"`
+	Reads       int64                   `json:"reads_served"`
+	ShardLoad   []kcore.ShardLoad       `json:"shard_load"`
+	Feed        kcore.FeedStats         `json:"feed"`
+	Durability  *kcore.DurabilityStats  `json:"durability,omitempty"`
+	Replication *kcore.ReplicationStats `json:"replication,omitempty"`
+	Overload    overloadStats           `json:"overload"`
 }
 
 // overloadStats counts requests turned away or cut off by the protection
@@ -843,18 +723,18 @@ type overloadStats struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{
-		Vertices:    s.eng.NumVertices(),
-		Shards:      s.eng.NumShards(),
-		Edges:       s.eng.NumEdges(),
-		Batches:     s.eng.Batches(),
-		Epoch:       s.eng.Epoch(),
-		Retained:    s.eng.RetainedEpochs(),
-		OldestEpoch: s.eng.OldestReadableEpoch(),
+		Vertices:    s.d.NumVertices(),
+		Shards:      s.d.Shards(),
+		Edges:       s.d.NumEdges(),
+		Batches:     s.d.BatchNumber(),
+		Epoch:       s.d.Epoch(),
+		Retained:    s.d.RetainedEpochs(),
+		OldestEpoch: s.d.OldestReadableEpoch(),
 		Inserted:    s.inserted.Load(),
 		Deleted:     s.deleted.Load(),
 		Reads:       s.reads.Load(),
-		ShardLoad:   s.eng.Stats(),
-		Feed:        s.hub.Stats(),
+		ShardLoad:   s.d.ShardStats(),
+		Feed:        s.d.FeedStats(),
 		Overload: overloadStats{
 			RateLimited: s.rateLimited.Load(),
 			LoadShed:    s.loadShed.Load(),
@@ -862,17 +742,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Panics:      s.panics.Load(),
 		},
 	}
-	if s.wal != nil {
-		st := s.wal.Stats()
+	if st, ok := s.d.DurabilityStats(); ok {
 		resp.Durability = &st
 	}
-	switch {
-	case s.feeder != nil:
-		fs := s.feeder.Stats()
-		resp.Replication = &replicationStats{Role: "primary", ListenAddr: s.ReplicationAddr(), Feeder: &fs}
-	case s.follower != nil:
-		fs := s.follower.Stats()
-		resp.Replication = &replicationStats{Role: "replica", Follower: &fs}
+	if rs, ok := s.d.ReplicationStats(); ok {
+		if rs.Follower != nil {
+			rs.Role = "replica" // the HTTP API's name for a follower
+		}
+		resp.Replication = &rs
 	}
 	writeJSON(w, resp)
 }
@@ -905,7 +782,7 @@ func (s *Server) handleUpdate(insert bool) http.HandlerFunc {
 				fmt.Sprintf("batch of %d edges exceeds limit %d", len(edges), s.maxBatchEdges))
 			return
 		}
-		n := uint32(s.eng.NumVertices())
+		n := uint32(s.d.NumVertices())
 		for _, e := range edges {
 			if e.U >= n || e.V >= n {
 				writeError(w, http.StatusBadRequest, codeBadRequest,
@@ -915,17 +792,19 @@ func (s *Server) handleUpdate(insert bool) http.HandlerFunc {
 		}
 		var applied int
 		if insert {
-			applied = s.eng.Insert(edges)
+			applied = s.d.InsertEdges(toEdges(edges))
 			s.inserted.Add(int64(applied))
 		} else {
-			applied = s.eng.Delete(edges)
+			applied = s.d.DeleteEdges(toEdges(edges))
 			s.deleted.Add(int64(applied))
 		}
-		writeJSON(w, updateResponse{Applied: applied, Batch: s.eng.Batches()})
+		writeJSON(w, updateResponse{Applied: applied, Batch: s.d.BatchNumber()})
 	}
 }
 
-// batchEdge is one edge of a JSON batch request.
+// batchEdge is one edge of a JSON batch request. Its tags let
+// encoding/json match "u" and "v" exactly; decoding into the untagged
+// kcore.Edge would fall back to case-folded matching on every key.
 type batchEdge struct {
 	U uint32 `json:"u"`
 	V uint32 `json:"v"`
@@ -956,7 +835,7 @@ func (s *Server) validateBatch(req *batchRequest) (int, error) {
 		return http.StatusRequestEntityTooLarge,
 			fmt.Errorf("batch of %d edges exceeds limit %d", total, s.maxBatchEdges)
 	}
-	n := uint32(s.eng.NumVertices())
+	n := uint32(s.d.NumVertices())
 	for _, list := range [][]batchEdge{req.Insert, req.Delete} {
 		for _, e := range list {
 			if e.U >= n || e.V >= n {
@@ -993,17 +872,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, code, err.Error())
 		return
 	}
-	toEdges := func(in []batchEdge) []graph.Edge {
-		out := make([]graph.Edge, len(in))
-		for i, e := range in {
-			out[i] = graph.Edge{U: e.U, V: e.V}
-		}
-		return out
-	}
-	ins, del := s.eng.Apply(toEdges(req.Insert), toEdges(req.Delete))
+	ins, del := s.d.ApplyBatch(toEdges(req.Insert), toEdges(req.Delete))
 	s.inserted.Add(int64(ins))
 	s.deleted.Add(int64(del))
-	writeJSON(w, batchResponse{Inserted: ins, Deleted: del, Batch: s.eng.Batches()})
+	writeJSON(w, batchResponse{Inserted: ins, Deleted: del, Batch: s.d.BatchNumber()})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

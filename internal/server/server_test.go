@@ -9,8 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"kcore"
 	"kcore/internal/lds"
-	"kcore/internal/wal"
 )
 
 func newTestServer(t *testing.T, opts ...Option) *httptest.Server {
@@ -588,7 +588,7 @@ func TestRejectedUpdatesDoNotCommit(t *testing.T) {
 // same coreness values.
 func TestServerDurability(t *testing.T) {
 	dir := t.TempDir()
-	opts := []Option{WithShards(2), WithWAL(dir, wal.Options{})}
+	opts := []Option{WithShards(2), WithWAL(dir, kcore.WALOptions{})}
 	s1, err := New(100, lds.DefaultParams(), opts...)
 	if err != nil {
 		t.Fatal(err)

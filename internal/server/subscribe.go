@@ -9,7 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"kcore/internal/feed"
+	"kcore"
 )
 
 // DefaultFeedHeartbeat is how often an idle /subscribe stream sends an
@@ -52,8 +52,8 @@ type sseHello struct {
 
 // sseEpoch is one committed batch's matching events.
 type sseEpoch struct {
-	Epoch  uint64       `json:"epoch"`
-	Events []feed.Event `json:"events"`
+	Epoch  uint64            `json:"epoch"`
+	Events []kcore.CoreEvent `json:"events"`
 }
 
 // sseGap tells the subscriber it missed epochs [From, To].
@@ -63,11 +63,11 @@ type sseGap struct {
 }
 
 // parseFeedFilter builds the subscription filter from query parameters.
-func (s *Server) parseFeedFilter(r *http.Request) (feed.Filter, error) {
-	var f feed.Filter
+func (s *Server) parseFeedFilter(r *http.Request) (kcore.EventFilter, error) {
+	var f kcore.EventFilter
 	q := r.URL.Query()
 	if raw := q.Get("vertices"); raw != "" {
-		n := uint64(s.eng.NumVertices())
+		n := uint64(s.d.NumVertices())
 		for _, part := range strings.Split(raw, ",") {
 			part = strings.TrimSpace(part)
 			if part == "" {
@@ -116,7 +116,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, codeInternal, "response writer cannot stream")
 		return
 	}
-	sub, err := s.hub.Subscribe(filter, s.feedBuffer)
+	sub, err := s.d.Subscribe(filter)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, codeOverloaded, err.Error())
 		return
@@ -140,7 +140,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 		return true
 	}
-	if !send("hello", sseHello{Epoch: s.eng.Epoch()}) {
+	if !send("hello", sseHello{Epoch: s.d.Epoch()}) {
 		return
 	}
 

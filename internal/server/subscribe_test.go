@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"kcore/internal/feed"
+	"kcore"
 	"kcore/internal/lds"
 )
 
@@ -223,12 +223,13 @@ func TestSubscribeSubscriberCap(t *testing.T) {
 	}
 }
 
-// TestSubscribeSlowClientGetsGap drives a 1-slot subscription with bursts
-// published faster than the stream goroutine can drain and asserts the
-// wire carries a well-formed gap message rather than stalling the
-// publisher.
+// TestSubscribeSlowClientGetsGap commits real batches into a 1-slot
+// subscription whose client stops reading, and asserts that the commits
+// never stall and that the wire carries a well-formed gap message once
+// the client reads again.
 func TestSubscribeSlowClientGetsGap(t *testing.T) {
-	s, err := New(100, lds.DefaultParams(), WithEventBuffer(1))
+	const n = 2000
+	s, err := New(n, lds.DefaultParams(), WithEventBuffer(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,27 +242,39 @@ func TestSubscribeSlowClientGetsGap(t *testing.T) {
 		t.Fatalf("hello: %+v, err %v", m, err)
 	}
 
-	// Publish bursts directly into the hub (the engine publishes the same
-	// way, synchronously at commit) until the handler falls behind. Each
-	// Publish returns immediately whether or not the subscriber keeps up —
-	// that is the property under test.
-	events := []feed.Event{{Vertex: 1, OldCore: 1, NewCore: 2}}
+	// Insert and delete disjoint 3-stars in turn: every commit moves each
+	// star's centre by one level, so every delivery carries n/4 events.
+	// With the client not reading, the socket buffers fill, the stream
+	// goroutine blocks on its write and the next commit finds the 1-slot
+	// buffer full. Commits go on regardless — that is the property under
+	// test — until one of them flushes the gap marker once the client reads
+	// again.
+	d := s.Decomposition()
+	var edges []kcore.Edge
+	for c := uint32(0); c < n; c += 4 {
+		edges = append(edges, kcore.Edge{U: c, V: c + 1}, kcore.Edge{U: c, V: c + 2}, kcore.Edge{U: c, V: c + 3})
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		epoch := uint64(1000)
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if st := s.hub.Stats(); st.Gaps > 0 {
-				return
-			}
-			for i := 0; i < 100; i++ {
-				epoch++
-				events[0].Epoch = epoch
-				s.hub.Publish(epoch, events)
+		deadline := time.Now().Add(20 * time.Second)
+		for i := 0; time.Now().Before(deadline) && d.FeedStats().Gaps == 0; i++ {
+			if i%2 == 0 {
+				d.InsertEdges(edges)
+			} else {
+				d.DeleteEdges(edges)
 			}
 		}
 	}()
+	for d.FeedStats().Drops == 0 {
+		select {
+		case <-done:
+			if st := d.FeedStats(); st.Drops == 0 {
+				t.Fatalf("no delivery dropped: %+v", st)
+			}
+		case <-time.After(time.Millisecond):
+		}
+	}
 
 	sawGap := false
 	for !sawGap {
@@ -285,8 +298,8 @@ func TestSubscribeSlowClientGetsGap(t *testing.T) {
 		}
 	}
 	<-done
-	if st := s.hub.Stats(); st.Drops == 0 || st.Gaps == 0 {
-		t.Fatalf("hub stats missed the overrun: %+v", st)
+	if st := d.FeedStats(); st.Drops == 0 || st.Gaps == 0 {
+		t.Fatalf("feed stats missed the overrun: %+v", st)
 	}
 }
 
@@ -335,7 +348,7 @@ func TestStatsMetricsFeedRaceWithLiveFollower(t *testing.T) {
 	}
 
 	applyRandomBatches(primary, 200, 30, 50, 7)
-	waitReplicaEpoch(t, rep, primary.eng.Epoch())
+	waitReplicaEpoch(t, rep, primary.Decomposition().Epoch())
 	close(stop)
 	wg.Wait()
 }

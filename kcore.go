@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"kcore/internal/exact"
-	"kcore/internal/faultfs"
 	"kcore/internal/feed"
 	"kcore/internal/graph"
 	"kcore/internal/lds"
@@ -160,55 +159,30 @@ func WithRetainedEpochs(n int) Option {
 	return func(o *options) { o.retained = n }
 }
 
-// SyncPolicy selects when write-ahead-log appends are fsynced; see the
-// WithWAL option.
-type SyncPolicy int
+// SyncPolicy selects when write-ahead-log appends are fsynced (the
+// WALOptions.Sync field): SyncNone, SyncInterval or SyncAlways.
+type SyncPolicy = wal.SyncPolicy
 
 const (
 	// SyncNone leaves flushing to the OS: appended batches survive a
 	// process crash but a machine crash can lose the page-cache tail.
 	// This is the default and the fastest policy.
-	SyncNone SyncPolicy = iota
+	SyncNone = wal.SyncNone
 	// SyncInterval fsyncs at most once per WALOptions.SyncEvery,
 	// bounding machine-crash loss to that window.
-	SyncInterval
+	SyncInterval = wal.SyncInterval
 	// SyncAlways fsyncs every batch before the update call returns:
 	// full durability, at the cost of one fsync per batch.
-	SyncAlways
+	SyncAlways = wal.SyncAlways
 )
 
 // WALOptions tune the write-ahead log enabled by WithWAL. The zero value
-// is valid: no fsync on the append path, 64 MiB segments, manual
-// snapshots only.
-type WALOptions struct {
-	// Sync is the fsync policy for log appends (default SyncNone).
-	Sync SyncPolicy
-	// SyncEvery is the SyncInterval period (default 100ms).
-	SyncEvery time.Duration
-	// SegmentBytes rotates the log file once it crosses this size
-	// (default 64 MiB).
-	SegmentBytes int64
-	// SnapshotEvery takes an automatic snapshot (asynchronously, off the
-	// update path) after this many logged batches; 0 means snapshots are
-	// taken only via Decomposition.Snapshot.
-	SnapshotEvery uint64
-	// AppendRetries bounds the in-place retries of a failed log append or
-	// fsync before the log degrades (default 2; negative disables
-	// retries). Each retry rolls the segment back to the record boundary
-	// and rewrites the whole frame.
-	AppendRetries int
-	// RetryBackoff is the initial pause between append retries, doubling
-	// per attempt and capped at 100ms (default 0: retry immediately).
-	RetryBackoff time.Duration
-	// ReattachEvery is the period of the background re-attach loop while
-	// the log is degraded: each tick attempts a fresh snapshot + empty log
-	// to restore durability (default 5s; negative disables the loop —
-	// re-attach then happens only via Decomposition.Reattach or Snapshot).
-	ReattachEvery time.Duration
-	// FS overrides the filesystem all WAL I/O goes through. Intended for
-	// fault-injection tests (see internal/faultfs); nil means the real OS.
-	FS faultfs.FS
-}
+// is valid: no fsync on the append path (Sync), 100ms SyncEvery, 64 MiB
+// segments (SegmentBytes), manual snapshots only (SnapshotEvery), two
+// in-place append retries (AppendRetries, RetryBackoff), a 5s background
+// re-attach loop while degraded (ReattachEvery) and the real filesystem
+// (FS, which fault-injection tests replace).
+type WALOptions = wal.Options
 
 // WithWAL makes the decomposition durable: every applied update batch is
 // appended to a write-ahead log in dir, periodic snapshots bound the log's
@@ -392,16 +366,7 @@ func New(n int, opts ...Option) (*Decomposition, error) {
 	if o.walDir != "" {
 		// Recovery must precede retention setup: the multi-version logs
 		// initialize from the recovered per-shard epochs.
-		m, err := wal.Open(o.walDir, eng, wal.Options{
-			Sync:          wal.SyncPolicy(o.walOpts.Sync),
-			SyncEvery:     o.walOpts.SyncEvery,
-			SegmentBytes:  o.walOpts.SegmentBytes,
-			SnapshotEvery: o.walOpts.SnapshotEvery,
-			AppendRetries: o.walOpts.AppendRetries,
-			RetryBackoff:  o.walOpts.RetryBackoff,
-			ReattachEvery: o.walOpts.ReattachEvery,
-			FS:            o.walOpts.FS,
-		})
+		m, err := wal.Open(o.walDir, eng, o.walOpts)
 		if err != nil {
 			return nil, fmt.Errorf("kcore: opening WAL: %w", err)
 		}
@@ -522,39 +487,28 @@ func (d *Decomposition) ReplicationAddr() string {
 	return d.feederLn.Addr().String()
 }
 
-// ReplicationStats is a point-in-time snapshot of the replication role.
-// Exactly one side's fields are populated, per Role.
+// FeederStats is a replication primary's counters: connected followers,
+// connections accepted, bootstraps and resumes served, resume cursors
+// rejected, records and bytes shipped, followers dropped for falling
+// behind (overruns), and the fault-drill kick count and pause flag.
+type FeederStats = replica.FeederStats
+
+// FollowerStats is a replication follower's state: the primary it streams
+// from, whether the stream is connected and synced, its applied epoch and
+// the primary's announced one (and the lag between them, in epochs and in
+// bytes), records applied and the apply rounds they took, bootstraps,
+// resumes, reconnects, the last record and heartbeat times, and the last
+// connection error.
+type FollowerStats = replica.FollowerStats
+
+// ReplicationStats is a point-in-time snapshot of the replication role:
+// Feeder is set on a primary (with the bound ListenAddr), Follower on a
+// follower.
 type ReplicationStats struct {
-	Role string // "primary" or "follower"
-
-	// Primary (feeder) side.
-	ListenAddr       string // bound replication listener address
-	Followers        int    // currently connected followers
-	Connects         uint64 // follower connections accepted since start
-	FeederBootstraps uint64 // bootstraps served
-	FeederResumes    uint64 // reconnects served from the retained ring (no snapshot)
-	ResumeRejects    uint64 // resume cursors outside retention, told to re-bootstrap
-	RecordsShipped   uint64
-	BytesShipped     uint64
-	Overruns         uint64 // followers dropped for falling behind the tail buffer
-	Paused           bool   // fault-drill pause hook engaged
-
-	// Follower side.
-	Primary               string // normalized primary base URL
-	Connected             bool   // stream currently established
-	Synced                bool   // bootstrapped on the current connection
-	PrimaryEpoch          uint64 // newest epoch the primary announced
-	LagEpochs             uint64 // PrimaryEpoch - local Epoch (0 when caught up)
-	BytesReceived         uint64
-	BytesApplied          uint64
-	LagBytes              uint64 // received but not yet applied
-	RecordsApplied        uint64
-	Bootstraps            uint64 // bootstraps applied (>1 means re-bootstraps)
-	Resumes               uint64 // reconnects resumed from the applied vector (no snapshot)
-	Reconnects            uint64
-	LastRecordUnixNano    int64
-	LastHeartbeatUnixNano int64
-	Err                   string // last connection error ("" when healthy)
+	Role       string         `json:"role"`                  // "primary" or "follower"
+	ListenAddr string         `json:"listen_addr,omitempty"` // primary's bound replication listener
+	Feeder     *FeederStats   `json:"feeder,omitempty"`
+	Follower   *FollowerStats `json:"follower,omitempty"`
 }
 
 // ReplicationStats reports the replication state; ok is false when neither
@@ -564,68 +518,19 @@ func (d *Decomposition) ReplicationStats() (stats ReplicationStats, ok bool) {
 	switch {
 	case d.feeder != nil:
 		s := d.feeder.Stats()
-		return ReplicationStats{
-			Role:             "primary",
-			ListenAddr:       d.ReplicationAddr(),
-			Followers:        s.Followers,
-			Connects:         s.Connects,
-			FeederBootstraps: s.Bootstraps,
-			FeederResumes:    s.Resumes,
-			ResumeRejects:    s.ResumeRejects,
-			RecordsShipped:   s.RecordsShipped,
-			BytesShipped:     s.BytesShipped,
-			Overruns:         s.Overruns,
-			Paused:           s.Paused,
-		}, true
+		return ReplicationStats{Role: "primary", ListenAddr: d.ReplicationAddr(), Feeder: &s}, true
 	case d.follower != nil:
 		s := d.follower.Stats()
-		return ReplicationStats{
-			Role:                  "follower",
-			Primary:               s.Primary,
-			Connected:             s.Connected,
-			Synced:                s.Synced,
-			PrimaryEpoch:          s.PrimaryEpoch,
-			LagEpochs:             s.LagEpochs,
-			BytesReceived:         s.BytesReceived,
-			BytesApplied:          s.BytesApplied,
-			LagBytes:              s.LagBytes,
-			RecordsApplied:        s.RecordsApplied,
-			Bootstraps:            s.Bootstraps,
-			Resumes:               s.Resumes,
-			Reconnects:            s.Reconnects,
-			LastRecordUnixNano:    s.LastRecordUnixNano,
-			LastHeartbeatUnixNano: s.LastHeartbeatUnixNano,
-			Err:                   s.Err,
-		}, true
+		return ReplicationStats{Role: "follower", Follower: &s}, true
 	}
 	return ReplicationStats{}, false
 }
 
-// DurabilityStats is a point-in-time snapshot of the write-ahead log:
-// sizes, logged/recovered batch counts and the last snapshot/fsync marks.
-type DurabilityStats struct {
-	Dir                  string // log directory
-	Sync                 string // fsync policy ("none", "interval", "always")
-	Segments             int    // live log segment files
-	LogBytes             int64  // total bytes across live segments
-	LoggedBatches        uint64 // batches appended since open
-	RecoveredBatches     uint64 // batches replayed from the log tail at open
-	Snapshots            uint64 // snapshots taken since open
-	LastSnapshotEpoch    uint64 // global epoch of the newest snapshot (0 = none)
-	LastSnapshotUnixNano int64  // wall clock of the newest snapshot (0 = none)
-	LastSyncUnixNano     int64  // wall clock of the last fsync (0 = never)
-	AppendRetries        uint64 // failed appends repaired in place by retry
-	Err                  string // last durability error ("" = healthy; cleared by re-attach)
-
-	// Degraded reports that the log gave up on persisting batches after an
-	// I/O failure: updates and reads keep working, but batches apply only
-	// in memory until a re-attach (background loop, Reattach or Snapshot)
-	// succeeds.
-	Degraded              bool
-	DegradedSinceUnixNano int64  // wall clock of the degradation (0 = healthy)
-	DroppedBatches        uint64 // batches applied but not logged while degraded
-	Reattaches            uint64 // successful re-attach cycles
-}
+// DurabilityStats is a point-in-time snapshot of the write-ahead log: its
+// directory, fsync policy, segments and bytes, batches logged and
+// recovered, snapshot and fsync marks, append retries, and the degraded
+// state (Degraded, since when, batches dropped, re-attaches, last error).
+type DurabilityStats = wal.Stats
 
 // DurabilityStats reports the write-ahead log's state; ok is false
 // without WithWAL. Safe to call at any time.
@@ -633,26 +538,7 @@ func (d *Decomposition) DurabilityStats() (stats DurabilityStats, ok bool) {
 	if d.wal == nil {
 		return DurabilityStats{}, false
 	}
-	s := d.wal.Stats()
-	return DurabilityStats{
-		Dir:                  s.Dir,
-		Sync:                 s.Sync,
-		Segments:             s.Segments,
-		LogBytes:             s.LogBytes,
-		LoggedBatches:        s.LoggedBatches,
-		RecoveredBatches:     s.RecoveredBatches,
-		Snapshots:            s.Snapshots,
-		LastSnapshotEpoch:    s.LastSnapshotEpoch,
-		LastSnapshotUnixNano: s.LastSnapshotUnixNano,
-		LastSyncUnixNano:     s.LastSyncUnixNano,
-		AppendRetries:        s.AppendRetries,
-		Err:                  s.Err,
-
-		Degraded:              s.Degraded,
-		DegradedSinceUnixNano: s.DegradedSinceUnixNano,
-		DroppedBatches:        s.DroppedBatches,
-		Reattaches:            s.Reattaches,
-	}, true
+	return d.wal.Stats(), true
 }
 
 // --- change feed ---
@@ -712,38 +598,16 @@ func (d *Decomposition) FeedStats() FeedStats { return d.hub.Stats() }
 // Shards returns the number of shards (1 unless WithShards was used).
 func (d *Decomposition) Shards() int { return d.eng.NumShards() }
 
-// ShardLoad is a point-in-time load snapshot of one shard: the
-// observability surface for spotting hot shards and (eventually) driving
-// vertex migration between them.
-type ShardLoad struct {
-	Shard         int    // shard index
-	OwnedVertices int    // vertices hashed to this shard
-	PrimaryEdges  int64  // distinct global edges it owns
-	LocalEdges    int64  // edges in its local subgraph (incl. mirrored cut edges)
-	Batches       uint64 // update batches applied (see BatchNumber)
-	Inserted      int64  // cumulative edges applied locally
-	Deleted       int64
-}
+// ShardLoad is a point-in-time load snapshot of one shard — its index,
+// owned vertices, primary and local (incl. mirrored cut) edges, applied
+// batches and cumulative inserted/deleted edges: the observability surface
+// for spotting hot shards.
+type ShardLoad = shard.Stats
 
 // ShardStats returns per-shard load statistics (one entry covering the
 // whole graph with one shard). It is safe to call concurrently with updates
 // and reads.
-func (d *Decomposition) ShardStats() []ShardLoad {
-	stats := d.eng.Stats()
-	out := make([]ShardLoad, len(stats))
-	for i, s := range stats {
-		out[i] = ShardLoad{
-			Shard:         s.Shard,
-			OwnedVertices: s.OwnedVertices,
-			PrimaryEdges:  s.PrimaryEdges,
-			LocalEdges:    s.LocalEdges,
-			Batches:       s.Batches,
-			Inserted:      s.Inserted,
-			Deleted:       s.Deleted,
-		}
-	}
-	return out
-}
+func (d *Decomposition) ShardStats() []ShardLoad { return d.eng.Stats() }
 
 // NumVertices returns the (fixed) number of vertices.
 func (d *Decomposition) NumVertices() int { return d.eng.NumVertices() }

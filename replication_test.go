@@ -121,11 +121,12 @@ func TestReplicationPublicAPI(t *testing.T) {
 			expectViewParity(t, primary, follower)
 
 			ps, ok := primary.ReplicationStats()
-			if !ok || ps.Role != "primary" || ps.Followers != 1 || ps.FeederBootstraps != 1 {
+			if !ok || ps.Role != "primary" || ps.Follower != nil || ps.Feeder.Followers != 1 || ps.Feeder.Bootstraps != 1 {
 				t.Fatalf("unexpected primary replication stats: %+v", ps)
 			}
 			fs, ok := follower.ReplicationStats()
-			if !ok || fs.Role != "follower" || !fs.Synced || fs.Bootstraps != 1 {
+			if !ok || fs.Role != "follower" || fs.Feeder != nil || !fs.Follower.Synced || fs.Follower.Bootstraps != 1 ||
+				fs.Follower.Epoch != follower.Epoch() {
 				t.Fatalf("unexpected follower replication stats: %+v", fs)
 			}
 		})
