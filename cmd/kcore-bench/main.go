@@ -13,8 +13,6 @@
 //	kcore-bench -exp shardscale -datasets dblp -shards 1,2,4,8
 //	kcore-bench -exp viewreads -datasets dblp -shards 1,4
 //	kcore-bench -exp mvreads -datasets dblp -shards 1,4 -depths 1,4,16
-//	kcore-bench -exp wal -datasets dblp -shards 1,4
-//	kcore-bench -exp replica -datasets dblp -shards 1,4
 //	kcore-bench -exp feed -datasets dblp -shards 1,4
 //
 // Every run prints the same rows/series the paper reports, plus the
@@ -35,7 +33,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table1, fig3, fig4, fig5, fig6, fig7, shardscale, viewreads, mvreads, ablation, wal, replica, feed")
+	exp := flag.String("exp", "all", "experiment: all, table1, fig3, fig4, fig5, fig6, fig7, shardscale, viewreads, mvreads, ablation, feed")
 	datasets := flag.String("datasets", "", "comma-separated dataset profiles (default per experiment)")
 	batchSizes := flag.String("batchsizes", "100,1000,10000,50000", "comma-separated batch sizes (fig4)")
 	threads := flag.String("threads", "1,2,4,8,15", "comma-separated thread counts (fig7)")
@@ -134,10 +132,6 @@ func run(exp string, datasets []string, batchSizes, threads, shards, depths []in
 		return bench.FigureMVReads(w, pick(scaleDefault), shards, depths, cfg)
 	case "ablation":
 		return bench.Ablation(w, pick(errorDefault), cfg)
-	case "wal":
-		return bench.FigureWAL(w, pick(scaleDefault), shards, cfg)
-	case "replica":
-		return bench.FigureReplica(w, pick(scaleDefault), shards, cfg)
 	case "feed":
 		return bench.FigureFeed(w, pick(scaleDefault), shards, cfg)
 	case "all":
@@ -169,12 +163,6 @@ func run(exp string, datasets []string, batchSizes, threads, shards, depths []in
 			return err
 		}
 		if err := bench.FigureMVReads(w, pick(scaleDefault), shards, depths, cfg); err != nil {
-			return err
-		}
-		if err := bench.FigureWAL(w, pick(scaleDefault), shards, cfg); err != nil {
-			return err
-		}
-		if err := bench.FigureReplica(w, pick(scaleDefault), shards, cfg); err != nil {
 			return err
 		}
 		if err := bench.FigureFeed(w, pick(scaleDefault), shards, cfg); err != nil {

@@ -75,7 +75,7 @@ type FeederStats struct {
 // by the live record stream. The Feeder is an http.Handler; the
 // integration layer owns the listener.
 type Feeder struct {
-	src wal.Source
+	src *wal.TailSource
 	opt FeederOptions
 	mux *http.ServeMux
 
@@ -83,12 +83,13 @@ type Feeder struct {
 	// every stream header and required to match in resume requests. The
 	// retained ring's epochs only mean anything relative to the history
 	// this process committed: a restarted primary may have recovered short
-	// of batches it already shipped (publish precedes the WAL append, and
-	// degraded mode commits without the disk) and then re-committed
-	// different batches under the same epochs — a cursor from the previous
-	// incarnation could pass the epoch-window check while naming a
-	// divergent history. The id mismatch forces such followers through a
-	// full bootstrap instead.
+	// of batches it already shipped (degraded mode ships batches the disk
+	// never took, and under the none/interval fsync policies a shipped
+	// record may sit only in a page cache a machine crash loses) and then
+	// re-committed different batches under the same epochs — a cursor from
+	// the previous incarnation could pass the epoch-window check while
+	// naming a divergent history. The id mismatch forces such followers
+	// through a full bootstrap instead.
 	streamID uint64
 
 	// paused is the fault-injection/test hook: while set, connections
@@ -113,9 +114,9 @@ type Feeder struct {
 	kicks         atomic.Uint64
 }
 
-// NewFeeder returns a feeder shipping src's capture + batch stream, with
+// NewFeeder returns a feeder shipping src's capture + record stream, with
 // the source's retained ring sized from opt.RetainBatches.
-func NewFeeder(src wal.Source, opt FeederOptions) *Feeder {
+func NewFeeder(src *wal.TailSource, opt FeederOptions) *Feeder {
 	f := &Feeder{src: src, opt: opt.withDefaults(), streamID: newStreamID()}
 	retain := f.opt.RetainBatches
 	if retain < 0 {
@@ -228,8 +229,7 @@ type streamConn struct {
 	flusher http.Flusher
 	kick    chan struct{}
 	vec     []uint64 // last shipped epoch per shard
-	frame   []byte   // record frame scratch
-	recBuf  []byte   // record encoding scratch
+	frame   []byte   // record and state frame scratch
 	vecBuf  []byte   // vector frame scratch (heartbeats, end-of-bootstrap)
 }
 
@@ -246,15 +246,14 @@ func (c *streamConn) writeVectorFrame(typ byte, vec []uint64) error {
 	return err
 }
 
-// writeRecordFrame encodes and ships one committed batch, advancing the
-// shipped vector.
-func (c *streamConn) writeRecordFrame(f *Feeder, b wal.Batch) error {
-	c.recBuf = wal.EncodeRecord(c.recBuf, b)
-	c.frame = appendFrame(c.frame[:0], frameRecord, c.recBuf)
+// writeRecordFrame ships one committed record — the bytes the commit
+// encoded, unchanged — advancing the shipped vector.
+func (c *streamConn) writeRecordFrame(f *Feeder, rec wal.Record) error {
+	c.frame = appendFrame(c.frame[:0], frameRecord, rec.Frame)
 	if _, err := c.cw.Write(c.frame); err != nil {
 		return err
 	}
-	c.vec[b.Shard] = b.Epoch
+	c.vec[rec.Shard] = rec.Epoch
 	f.records.Add(1)
 	return nil
 }
@@ -327,7 +326,7 @@ func (f *Feeder) handleResume(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var (
-		replay  []wal.Batch
+		replay  []wal.Record
 		cur     []uint64
 		tail    *wal.TailReader
 		covered bool
@@ -373,8 +372,8 @@ func (f *Feeder) handleResume(w http.ResponseWriter, r *http.Request) {
 	if err := c.writeVectorFrame(frameResumeOK, cur); err != nil {
 		return
 	}
-	for _, b := range replay {
-		if err := c.writeRecordFrame(f, b); err != nil {
+	for _, rec := range replay {
+		if err := c.writeRecordFrame(f, rec); err != nil {
 			return
 		}
 	}
@@ -397,7 +396,7 @@ func (f *Feeder) serveTail(ctx context.Context, c *streamConn, tail *wal.TailRea
 			return
 		case <-c.kick:
 			return
-		case b, open := <-tail.C():
+		case rec, open := <-tail.C():
 			if !open {
 				// Overrun (or source shutdown): the follower is too far
 				// behind this buffer — drop the stream; it reconnects and
@@ -413,7 +412,7 @@ func (f *Feeder) serveTail(ctx context.Context, c *streamConn, tail *wal.TailRea
 			if err := f.waitWhilePaused(ctx, c); err != nil {
 				return
 			}
-			if err := c.writeRecordFrame(f, b); err != nil {
+			if err := c.writeRecordFrame(f, rec); err != nil {
 				return
 			}
 			if len(tail.C()) == 0 {

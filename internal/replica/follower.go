@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kcore/internal/shard"
 	"kcore/internal/wal"
 )
 
@@ -119,7 +120,7 @@ type FollowerStats struct {
 // it, falling back to a full re-bootstrap otherwise (see the package
 // comment's Resume section).
 type Follower struct {
-	eng     Engine
+	eng     *shard.Engine
 	primary string // normalized base URL
 	opt     FollowerOptions
 	client  *http.Client
@@ -192,7 +193,7 @@ func (f *Follower) advanceApplied(batch []queuedRecord) {
 // opt.InitialSync is negative it blocks until the first bootstrap has
 // been applied, so a successful return means the engine already holds a
 // recent primary state.
-func StartFollower(eng Engine, addr string, opt FollowerOptions) (*Follower, error) {
+func StartFollower(eng *shard.Engine, addr string, opt FollowerOptions) (*Follower, error) {
 	opt = opt.withDefaults()
 	base := addr
 	if !strings.Contains(base, "://") {

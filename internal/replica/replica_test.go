@@ -430,10 +430,11 @@ func TestResumeStaleFallsBack(t *testing.T) {
 // TestPrimaryRestartRejectsForeignCursor pins the stream-id identity
 // check: a cursor whose epochs fall inside a restarted primary's retention
 // window must still not resume — the epochs name the previous
-// incarnation's history (the tail publish precedes the WAL append, so a
-// recovered primary may have re-committed different batches under the
-// same epoch numbers). The follower must be answered stale and
-// re-bootstrap onto the survivor history.
+// incarnation's history (a degraded or page-cache-only WAL can ship
+// batches recovery never sees, so a recovered primary may have
+// re-committed different batches under the same epoch numbers). The
+// follower must be answered stale and re-bootstrap onto the survivor
+// history.
 func TestPrimaryRestartRejectsForeignCursor(t *testing.T) {
 	const n, shards = 120, 1
 	batches := randomBatches(n, 12, 15, 13)

@@ -24,8 +24,9 @@
 //	               shard-state block (wal.MarshalShardState)
 //	frameEnd       end of bootstrap: the captured per-shard commit vector
 //	               ([shards]u64) — apply the states, then go live
-//	frameRecord    one committed batch, framed exactly as the on-disk WAL
-//	               record (wal.EncodeRecord); per-shard order = commit order
+//	frameRecord    one committed batch: the record bytes the primary encoded
+//	               once at commit and the on-disk WAL stores (wal.Record's
+//	               Frame); per-shard order = commit order
 //	frameHeartbeat the shipped per-shard commit vector ([shards]u64),
 //	               sent when the stream is otherwise idle; carries
 //	               liveness and lets the follower measure lag
@@ -35,7 +36,7 @@
 // A follower that already holds an applied state does not need the
 // snapshot again — it needs exactly the batches after its applied commit
 // vector. The primary retains a bounded in-memory ring of the newest
-// committed batches (FeederOptions.RetainBatches, wal.Source.SetRetain)
+// committed records (FeederOptions.RetainBatches, wal.TailSource.SetRetain)
 // with a per-shard low-water vector that advances as the ring evicts. A
 // reconnecting follower POSTs /replicate/stream with a fixed-size body —
 // the same identification header (carrying the stream id it learned from
@@ -47,8 +48,8 @@
 //	                 after the cursor follow as ordinary frameRecords,
 //	                 spliced into the live tail with no gap and no overlap
 //	                 (replay capture + tail subscription happen inside one
-//	                 engine quiesce, wal.Source.Resume — the same atomicity
-//	                 Bootstrap gets)
+//	                 engine quiesce, wal.TailSource.Resume — the same
+//	                 atomicity Bootstrap gets)
 //	frameResumeStale the request's stream id is not this primary's (the
 //	                 primary restarted — see below), some shard's cursor
 //	                 predates the low-water mark (the ring evicted past
@@ -58,16 +59,18 @@
 //	                 error
 //
 // The stream id is what gives a cursor an identity beyond its epoch
-// numbers: the tail stream is published before the WAL append, and a
-// degraded primary keeps committing without the disk, so a primary that
-// crashes and recovers can re-commit *different* batches under epochs a
-// follower already applied. A bare epoch vector from before the crash can
-// therefore look resumable against the recovered primary's ring while
-// naming a divergent history. Each primary process draws a random stream
-// id at feeder construction and stamps every stream header with it; a
-// resume request carries the id of the stream the cursor came from, and
-// an id mismatch is answered frameResumeStale regardless of the epochs —
-// the follower re-bootstraps and converges on the survivor history.
+// numbers. A record is published after the WAL append, but a degraded
+// primary keeps committing and shipping without the disk, and under the
+// none/interval fsync policies an appended record may live only in a page
+// cache a machine crash loses — so a primary that crashes and recovers can
+// re-commit *different* batches under epochs a follower already applied.
+// A bare epoch vector from before the crash can therefore look resumable
+// against the recovered primary's ring while naming a divergent history.
+// Each primary process draws a random stream id at feeder construction and
+// stamps every stream header with it; a resume request carries the id of
+// the stream the cursor came from, and an id mismatch is answered
+// frameResumeStale regardless of the epochs — the follower re-bootstraps
+// and converges on the survivor history.
 //
 // The follower only resumes within one process lifetime (the applied
 // vector is not persisted): a restarted follower's engine state cannot be
@@ -265,17 +268,4 @@ func parseStateFrame(payload []byte, n, shards int) (int, wal.ShardState, error)
 			len(payload)-4-used, si)
 	}
 	return si, st, nil
-}
-
-// Engine is what a follower drives: the durability surface (bootstrap
-// restore + logged-batch apply + quiesce) plus whole-engine restore and
-// the committed epoch. shard.Engine implements it.
-type Engine interface {
-	wal.Engine
-	// RestoreAll restores every shard inside one quiesce section, safe on
-	// a live engine serving concurrent reads.
-	RestoreAll(states []wal.ShardState) error
-	// Epoch returns the cross-shard committed epoch (sum of per-shard
-	// epochs).
-	Epoch() uint64
 }

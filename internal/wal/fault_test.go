@@ -9,6 +9,7 @@ package wal
 
 import (
 	"errors"
+	"io/fs"
 	"strings"
 	"syscall"
 	"testing"
@@ -459,5 +460,99 @@ func TestFaultOpenFailureSurfacesAtOpen(t *testing.T) {
 	}
 	if _, err := listSegments(faultfs.OS(), dir); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// orderFS wraps a filesystem so that every segment write and fsync asserts
+// the tail subscriber has not yet received the record being written. The
+// test drains the subscriber after every commit, so a non-empty channel
+// during an append means the record was published before the disk saw it.
+type orderFS struct {
+	faultfs.FS
+	t             *testing.T
+	tr            *TailReader // nil until the subscription exists
+	writes, syncs int
+}
+
+func (o *orderFS) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
+	f, err := o.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasSuffix(name, ".seg") {
+		return f, err
+	}
+	return &orderFile{File: f, o: o}, nil
+}
+
+func (o *orderFS) check(op string) {
+	if o.tr == nil {
+		return
+	}
+	if len(o.tr.C()) > 0 {
+		o.t.Errorf("segment %s while the tail already holds the record", op)
+	}
+}
+
+type orderFile struct {
+	faultfs.File
+	o *orderFS
+}
+
+func (f *orderFile) Write(p []byte) (int, error) {
+	f.o.check("write")
+	f.o.writes++
+	return f.File.Write(p)
+}
+
+func (f *orderFile) Sync() error {
+	f.o.check("fsync")
+	f.o.syncs++
+	return f.File.Sync()
+}
+
+func TestFaultTailPublishesAfterAppend(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		sync       SyncPolicy
+		failWrites bool
+	}{
+		{"none", SyncNone, false},
+		{"always", SyncAlways, false},
+		{"writes-fail", SyncNone, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const total = 4
+			inj := faultfs.New(nil)
+			ofs := &orderFS{FS: inj, t: t}
+			f := newFakeEngine(16, 1)
+			m, err := Open(t.TempDir(), f, Options{FS: ofs, Sync: tc.sync, ReattachEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			_, tr, err := m.Tail().Bootstrap(total)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ofs.tr = tr
+			if tc.failWrites {
+				inj.FailWrites(0, -1) // every attempt fails: the retry budget runs out
+			}
+			for ep := uint64(1); ep <= total; ep++ {
+				f.commit(Batch{Shard: 0, Epoch: ep, Ins: []graph.Edge{{U: uint32(ep), V: uint32(ep + 1)}}, HasIns: true})
+				if b := decodeRec(t, <-tr.C(), 1); b.Epoch != ep {
+					t.Fatalf("tail delivered epoch %d, want %d", b.Epoch, ep)
+				}
+			}
+			if ofs.writes == 0 || (tc.sync == SyncAlways && ofs.syncs < total) {
+				t.Fatalf("checked %d writes and %d fsyncs; the ordering assertions never ran", ofs.writes, ofs.syncs)
+			}
+			st := m.Stats()
+			if tc.failWrites {
+				if !st.Degraded || st.DroppedBatches != total {
+					t.Fatalf("failed appends: degraded=%v dropped=%d, want degraded and %d dropped", st.Degraded, st.DroppedBatches, total)
+				}
+			} else if st.LoggedBatches != total {
+				t.Fatalf("logged %d batches, want %d", st.LoggedBatches, total)
+			}
+		})
 	}
 }

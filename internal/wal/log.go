@@ -50,7 +50,6 @@ type segLog struct {
 	seq      uint64           // sequence of the open segment
 	size     int64            // bytes in the open segment
 	sizes    map[uint64]int64 // bytes per closed-but-retained segment
-	buf      []byte           // reused frame-encode buffer
 	appended uint64
 	retries  uint64 // append/fsync attempts retried after a transient error
 	closed   bool
@@ -58,7 +57,7 @@ type segLog struct {
 	lastSync atomic.Int64 // unix nanos of the last fsync (0 = never)
 }
 
-// encodeRecord frames one batch into buf (reused across calls):
+// encodeRecord frames one batch into buf (reused when large enough):
 // [len][crc][shard u32][epoch u64][flags u8][insCount u32][ins…][delCount u32][del…].
 func encodeRecord(buf []byte, b Batch) []byte {
 	payload := 4 + 8 + 1 + 4 + 8*len(b.Ins) + 4 + 8*len(b.Del)
@@ -323,13 +322,13 @@ func (l *segLog) backoff(k int) {
 	time.Sleep(d)
 }
 
-// writeRecordLocked writes the framed record in l.buf with bounded
+// writeRecordLocked writes one framed record with bounded
 // retries. A failed write may have persisted a prefix of the frame —
 // bytes recovery would see as a torn record and truncate, taking every
 // later record with them — so before each retry the segment is truncated
 // back to its pre-record size and the whole frame is rewritten on a clean
 // boundary. Caller holds mu.
-func (l *segLog) writeRecordLocked() error {
+func (l *segLog) writeRecordLocked(frame []byte) error {
 	var err error
 	for attempt := 0; attempt <= l.opt.AppendRetries; attempt++ {
 		if attempt > 0 {
@@ -342,8 +341,8 @@ func (l *segLog) writeRecordLocked() error {
 				return fmt.Errorf("wal: rolling back partial append: %w", terr)
 			}
 		}
-		if _, err = l.f.Write(l.buf); err == nil {
-			l.size += int64(len(l.buf))
+		if _, err = l.f.Write(frame); err == nil {
+			l.size += int64(len(frame))
 			l.appended++
 			return nil
 		}
@@ -367,18 +366,18 @@ func (l *segLog) syncLocked() error {
 	return fmt.Errorf("wal: fsync: %w", err)
 }
 
-// append frames and writes one record, applying the fsync policy and
-// rotating the segment once it crosses the size threshold. Transient
-// write/fsync errors are retried with backoff; the returned error means
-// the retries are exhausted and the record is not durably logged.
-func (l *segLog) append(b Batch) error {
+// append writes one framed record (encodeRecord's output), applying the
+// fsync policy and rotating the segment once it crosses the size
+// threshold. Transient write/fsync errors are retried with backoff; the
+// returned error means the retries are exhausted and the record is not
+// durably logged.
+func (l *segLog) append(frame []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("wal: append after close")
 	}
-	l.buf = encodeRecord(l.buf, b)
-	if err := l.writeRecordLocked(); err != nil {
+	if err := l.writeRecordLocked(frame); err != nil {
 		return err
 	}
 	switch l.opt.Sync {

@@ -1,11 +1,28 @@
 package wal
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"kcore/internal/graph"
 )
+
+// decodeRec decodes a delivered record's frame and checks that its header
+// repeats the record's Shard and Epoch.
+func decodeRec(t *testing.T, rec Record, shards int) Batch {
+	t.Helper()
+	b, n, ok := DecodeRecord(rec.Frame, shards)
+	if !ok || n != len(rec.Frame) {
+		t.Fatalf("record frame does not decode (ok=%v, %d of %d bytes)", ok, n, len(rec.Frame))
+	}
+	if b.Shard != rec.Shard || b.Epoch != rec.Epoch {
+		t.Fatalf("frame says shard %d epoch %d, record says shard %d epoch %d", b.Shard, b.Epoch, rec.Shard, rec.Epoch)
+	}
+	return b
+}
 
 func TestTailSourceBootstrapStreamsOnlyLaterBatches(t *testing.T) {
 	eng := newFakeEngine(8, 2)
@@ -33,13 +50,9 @@ func TestTailSourceBootstrapStreamsOnlyLaterBatches(t *testing.T) {
 		eng.commit(b)
 	}
 	for i, want := range post {
-		got := <-tr.C()
-		if got.Shard != want.Shard || got.Epoch != want.Epoch {
-			t.Fatalf("tail batch %d = shard %d epoch %d, want shard %d epoch %d",
-				i, got.Shard, got.Epoch, want.Shard, want.Epoch)
-		}
-		if !reflect.DeepEqual(append([]graph.Edge{}, got.Ins...), append([]graph.Edge{}, want.Ins...)) {
-			t.Fatalf("tail batch %d ins = %v, want %v", i, got.Ins, want.Ins)
+		got := decodeRec(t, <-tr.C(), 2)
+		if !reflect.DeepEqual(normalize(got), normalize(want)) {
+			t.Fatalf("tail batch %d = %+v, want %+v", i, got, want)
 		}
 	}
 	select {
@@ -59,12 +72,24 @@ func TestTailPublishDeepCopies(t *testing.T) {
 	}
 	defer tr.Close()
 
-	ins := []graph.Edge{{U: 1, V: 2}}
-	eng.commit(Batch{Shard: 0, Epoch: 1, Ins: ins, HasIns: true})
-	ins[0] = graph.Edge{U: 7, V: 7} // the hot path reuses its buffers
+	first := Batch{Shard: 0, Epoch: 1, Ins: []graph.Edge{{U: 1, V: 2}}, HasIns: true}
+	eng.commit(first)
 	got := <-tr.C()
-	if got.Ins[0] != (graph.Edge{U: 1, V: 2}) {
-		t.Fatalf("tail batch aliases the commit buffer: %v", got.Ins[0])
+	// The next commit re-encodes into the same per-shard scratch (an
+	// equal-sized record, so the buffer is reused, not regrown).
+	scratch := &src.bufs[0][0]
+	eng.commit(Batch{Shard: 0, Epoch: 2, Ins: []graph.Edge{{U: 5, V: 6}}, HasIns: true})
+	if &src.bufs[0][0] != scratch {
+		t.Fatal("equal-sized commit regrew the scratch; the aliasing check below is vacuous")
+	}
+	if &got.Frame[0] == scratch {
+		t.Fatal("delivered frame aliases the per-shard encode scratch")
+	}
+	if b := decodeRec(t, got, 1); !reflect.DeepEqual(normalize(b), first) {
+		t.Fatalf("delivered record changed under the next commit: %+v, want %+v", b, first)
+	}
+	if b := decodeRec(t, <-tr.C(), 1); b.Epoch != 2 || b.Ins[0] != (graph.Edge{U: 5, V: 6}) {
+		t.Fatalf("second record = %+v", b)
 	}
 }
 
@@ -118,9 +143,8 @@ func TestResumeReplaysExactlyAfterCursor(t *testing.T) {
 		t.Fatalf("replay of %d batches, want 3", len(replay))
 	}
 	for i, want := range all[2:] {
-		if replay[i].Shard != want.Shard || replay[i].Epoch != want.Epoch {
-			t.Fatalf("replay[%d] = shard %d epoch %d, want shard %d epoch %d",
-				i, replay[i].Shard, replay[i].Epoch, want.Shard, want.Epoch)
+		if got := decodeRec(t, replay[i], 2); !reflect.DeepEqual(normalize(got), normalize(want)) {
+			t.Fatalf("replay[%d] = %+v, want %+v", i, got, want)
 		}
 	}
 	// The tail starts exactly after the capture: a batch committed now is
@@ -205,7 +229,7 @@ func TestManagerBootstrapTeesWhileLogging(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.commit(testBatches()[0])
-	states, tr, err := m.Bootstrap(16)
+	states, tr, err := m.Tail().Bootstrap(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +250,53 @@ func TestManagerBootstrapTeesWhileLogging(t *testing.T) {
 	if _, ok := <-tr.C(); ok {
 		t.Fatal("tail channel still open after manager close")
 	}
-	if _, _, err := m.Bootstrap(1); err == nil {
+	if _, _, err := m.Tail().Bootstrap(1); err == nil {
 		t.Fatal("Bootstrap succeeded after Close")
+	}
+}
+
+// TestManagerTailShipsSegmentBytes pins the one encoding: the frame a
+// follower receives is byte for byte what the segment stores after its
+// header.
+func TestManagerTailShipsSegmentBytes(t *testing.T) {
+	dir := t.TempDir()
+	eng := newFakeEngine(8, 2)
+	m, err := Open(dir, eng, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	_, tr, err := m.Tail().Bootstrap(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shipped []byte
+	for _, b := range testBatches() {
+		eng.commit(b)
+		shipped = append(shipped, (<-tr.C()).Frame...)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seg[segHdrLen:], shipped) {
+		t.Fatalf("segment body (%d bytes) differs from the shipped frames (%d bytes)", len(seg)-segHdrLen, len(shipped))
+	}
+}
+
+// TestManagerOnBatchAllocs guards the durable commit hook: with no
+// subscriber and no retained ring, encoding into the per-shard scratch,
+// appending and (not) publishing allocate nothing.
+func TestManagerOnBatchAllocs(t *testing.T) {
+	eng := newFakeEngine(8, 1)
+	m, err := Open(t.TempDir(), eng, Options{Sync: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	b := Batch{Shard: 0, Epoch: 1, Ins: []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}, Del: []graph.Edge{{U: 3, V: 4}}, HasIns: true, HasDel: true}
+	if allocs := testing.AllocsPerRun(100, func() { m.onBatch(b) }); allocs != 0 {
+		t.Fatalf("onBatch allocates %.1f times per batch, want 0", allocs)
 	}
 }
 

@@ -8,14 +8,16 @@
 // reproduces byte-identical state (the replay-parity property the trace
 // tests pin down). Durability therefore reduces to logging the *applied*
 // batch stream: after every committed round the engine hands the WAL one
-// Batch record — the shard it ran on, the shard's post-round local epoch,
-// and the round's insert/delete sub-batches (as submitted with one shard,
-// coalesced with more) — and the WAL appends it to a
-// segmented, CRC-framed log. In sharded mode each shard's records are
-// appended in its local commit order (the append runs inside the shard's
-// one-updater section), so the log is a linearization of the per-shard
-// commit streams — exactly the commit-vector order the multi-version
-// vector log assigns to global epochs.
+// Batch — the shard it ran on, the shard's post-round local epoch, and the
+// round's insert/delete sub-batches (as submitted with one shard,
+// coalesced with more). The WAL encodes it once into its CRC-framed record
+// (a Record), appends those bytes to a segmented log, and only then
+// publishes the same bytes to the replication tail (see stream.go). In
+// sharded mode each shard's records are appended in its local commit order
+// (the hook runs inside the shard's one-updater section), so the log is a
+// linearization of the per-shard commit streams — exactly the
+// commit-vector order the multi-version vector log assigns to global
+// epochs.
 //
 // Recovery loads the newest snapshot whose checksum validates, restores
 // every shard from it, then replays the log tail: records at or below the
@@ -248,11 +250,11 @@ type Manager struct {
 	fs  faultfs.FS
 	log *segLog
 
-	// hub fans the committed-batch stream out to replication subscribers
-	// (see stream.go). Publication happens before the disk append and even
-	// while degraded: replication tracks the applied stream, not the
-	// durable one.
-	hub tailHub
+	// tail encodes every committed batch once and fans the record out to
+	// replication subscribers (see stream.go). onBatch publishes after the
+	// log append — after its fsync under SyncAlways — and also while
+	// degraded: replication tracks the applied stream, not the durable one.
+	tail *TailSource
 
 	recovered uint64 // batches replayed at Open
 
@@ -291,7 +293,7 @@ func Open(dir string, eng Engine, opt Options) (*Manager, error) {
 	if err := opt.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", dir, err)
 	}
-	m := &Manager{dir: dir, eng: eng, opt: opt, fs: opt.FS, stopCh: make(chan struct{})}
+	m := &Manager{dir: dir, eng: eng, opt: opt, fs: opt.FS, tail: newTailSource(eng), stopCh: make(chan struct{})}
 
 	// 1) Restore the newest snapshot whose checksum validates.
 	vec := make([]uint64, eng.NumShards())
@@ -322,17 +324,21 @@ func Open(dir string, eng Engine, opt Options) (*Manager, error) {
 	return m, nil
 }
 
-// onBatch appends one committed batch; it runs inside the committing
-// shard's one-updater section, so per-shard records land in commit order.
-// While degraded it drops the record (the batch is still applied in
-// memory) instead of hammering a broken disk from the hot path.
+// onBatch encodes one committed batch, appends the record to the log, and
+// then publishes the same bytes to the tail. It runs inside the committing
+// shard's one-updater section, so per-shard records land in commit order
+// on disk and on the stream. While degraded it drops the record from the
+// log (the batch is still applied in memory, and still shipped) instead of
+// hammering a broken disk from the hot path.
 func (m *Manager) onBatch(b Batch) {
-	m.hub.publish(b)
+	rec := m.tail.encode(b)
+	// Publish once the append has returned, whatever its outcome.
+	defer m.tail.hub.publish(rec)
 	if m.degraded.Load() {
 		m.dropped.Add(1)
 		return
 	}
-	if err := m.log.append(b); err != nil {
+	if err := m.log.append(rec.Frame); err != nil {
 		// Retries are exhausted: this batch is applied but not logged.
 		m.dropped.Add(1)
 		m.enterDegraded(err)
@@ -352,6 +358,10 @@ func (m *Manager) onBatch(b Batch) {
 		}
 	}
 }
+
+// Tail returns the manager's replication source: the records this manager
+// logs, each published right after its append. Manager.Close closes it.
+func (m *Manager) Tail() *TailSource { return m.tail }
 
 // enterDegraded records the durability failure and, on the first
 // transition, starts the background re-attach loop.
@@ -544,7 +554,7 @@ func (m *Manager) Stats() Stats {
 }
 
 // Close detaches the batch hook (under a quiesce, so no append races the
-// detach), stops the re-attach loop, waits for any in-flight background
+// detach) and closes the tail, stops the re-attach loop, waits for any in-flight background
 // work, then flushes and closes the log. Idempotent and safe to call
 // concurrently with Snapshot and in-flight batch commits: every caller
 // gets the same result, and a snapshot that lost the race gets a clean
@@ -553,8 +563,7 @@ func (m *Manager) Stats() Stats {
 func (m *Manager) Close() error {
 	m.closeOnce.Do(func() {
 		close(m.stopCh)
-		m.eng.Quiesce(func() { m.eng.SetBatchLog(nil) })
-		m.hub.closeAll()
+		m.tail.Close()
 		// The closed flag is set only after the in-flight background work
 		// drains: an auto-snapshot already spawned by the last batches must
 		// be allowed to land, not aborted with "snapshot after close".

@@ -151,7 +151,7 @@ func writeTestLog(t *testing.T, batches []Batch) string {
 		t.Fatalf("fresh dir replayed %d records", replayed)
 	}
 	for _, b := range batches {
-		if err := lg.append(b); err != nil {
+		if err := lg.append(encodeRecord(nil, b)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +263,7 @@ func TestRotationAndSegmentScan(t *testing.T) {
 	}
 	batches := testBatches()
 	for _, b := range batches {
-		if err := lg.append(b); err != nil {
+		if err := lg.append(encodeRecord(nil, b)); err != nil {
 			t.Fatal(err)
 		}
 	}

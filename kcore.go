@@ -316,7 +316,7 @@ type Decomposition struct {
 	feeder    *replica.Feeder
 	feederSrv *http.Server
 	feederLn  net.Listener
-	tailSrc   *wal.TailSource // batch tee when feeding without a WAL
+	tailSrc   *wal.TailSource // the tail when feeding without a WAL
 	follower  *replica.Follower
 
 	closeOnce sync.Once
@@ -380,17 +380,17 @@ func New(n int, opts ...Option) (*Decomposition, error) {
 	d.feedBuffer = o.feedBuffer
 	eng.SetEventHub(d.hub)
 	if o.replListen != "" {
-		// Feed followers from the WAL manager's record stream when there is
-		// one (the same stream the disk sees), else tee the engine's batch
-		// log directly.
-		var src wal.Source
+		// Feed followers from the WAL manager's tail when there is one (the
+		// record bytes the disk sees, shipped after the append), else attach
+		// a tail to the engine directly.
+		var tail *wal.TailSource
 		if d.wal != nil {
-			src = d.wal
+			tail = d.wal.Tail()
 		} else {
 			d.tailSrc = wal.NewTailSource(eng)
-			src = d.tailSrc
+			tail = d.tailSrc
 		}
-		d.feeder = replica.NewFeeder(src, replica.FeederOptions{
+		d.feeder = replica.NewFeeder(tail, replica.FeederOptions{
 			Heartbeat:     o.replOpts.Heartbeat,
 			Buffer:        o.replOpts.TailBuffer,
 			RetainBatches: o.replOpts.RetainBatches,

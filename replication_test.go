@@ -1,6 +1,7 @@
 package kcore
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -133,31 +134,53 @@ func TestReplicationPublicAPI(t *testing.T) {
 	}
 }
 
+// TestReplicationFeedsFromWAL ships a durable primary's records to a
+// follower while two updaters commit concurrently: with several shards,
+// their hooks encode, append and publish into one WAL-fed tail at once.
 func TestReplicationFeedsFromWAL(t *testing.T) {
-	const n = 120
-	primary, err := New(n, WithWAL(t.TempDir(), WALOptions{}),
-		WithReplicationListen("127.0.0.1:0"), fastReplOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer primary.Close()
-	rounds := randomEdgeRounds(n, 10, 20, 7)
-	for _, ins := range rounds[:5] {
-		primary.InsertEdges(ins)
-	}
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			const n = 120
+			primary, err := New(n, WithShards(shards), WithWAL(t.TempDir(), WALOptions{}),
+				WithReplicationListen("127.0.0.1:0"), fastReplOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer primary.Close()
+			rounds := randomEdgeRounds(n, 20, 20, 7)
+			for _, ins := range rounds[:5] {
+				primary.InsertEdges(ins)
+			}
 
-	follower, err := New(n, WithReplicationSource(primary.ReplicationAddr()), fastReplOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer follower.Close()
-	for _, ins := range rounds[5:] {
-		primary.InsertEdges(ins)
-	}
-	waitForEpoch(t, follower, primary.Epoch())
-	expectViewParity(t, primary, follower)
-	if _, ok := follower.DurabilityStats(); ok {
-		t.Fatal("a follower must not report a WAL")
+			follower, err := New(n, WithShards(shards),
+				WithReplicationSource(primary.ReplicationAddr()), fastReplOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer follower.Close()
+			var wg sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for r := 5 + w; r < len(rounds); r += 2 {
+						primary.InsertEdges(rounds[r])
+						if r%3 == 0 {
+							primary.DeleteEdges(rounds[r-3][:5])
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			waitForEpoch(t, follower, primary.Epoch())
+			expectViewParity(t, primary, follower)
+			if _, ok := follower.DurabilityStats(); ok {
+				t.Fatal("a follower must not report a WAL")
+			}
+			if st, _ := primary.DurabilityStats(); st.LoggedBatches == 0 || st.DroppedBatches != 0 {
+				t.Fatalf("primary durability stats %+v: want every batch logged", st)
+			}
+		})
 	}
 }
 
