@@ -11,13 +11,9 @@
 //	kcore-bench -exp fig6 -datasets tiny,dblp
 //	kcore-bench -exp fig7 -datasets dblp,lj -threads 1,2,4,8,15
 //	kcore-bench -exp shardscale -datasets dblp -shards 1,2,4,8
-//	kcore-bench -exp viewreads -datasets dblp -shards 1,4
-//	kcore-bench -exp mvreads -datasets dblp -shards 1,4 -depths 1,4,16
-//	kcore-bench -exp feed -datasets dblp -shards 1,4
 //
 // Every run prints the same rows/series the paper reports, plus the
-// shard-scaling and epoch-pinned view-reads experiments added by this
-// repo. See EXPERIMENTS.md for the paper-vs-measured record.
+// shard-scaling experiment added by this repo.
 package main
 
 import (
@@ -33,12 +29,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table1, fig3, fig4, fig5, fig6, fig7, shardscale, viewreads, mvreads, ablation, feed")
+	exp := flag.String("exp", "all", "experiment: all, table1, fig3, fig4, fig5, fig6, fig7, shardscale, ablation")
 	datasets := flag.String("datasets", "", "comma-separated dataset profiles (default per experiment)")
 	batchSizes := flag.String("batchsizes", "100,1000,10000,50000", "comma-separated batch sizes (fig4)")
 	threads := flag.String("threads", "1,2,4,8,15", "comma-separated thread counts (fig7)")
 	shards := flag.String("shards", "1,2,4,8", "comma-separated shard counts (shardscale)")
-	depths := flag.String("depths", "1,4,16", "comma-separated retained-read depths (mvreads)")
 	batch := flag.Int("batch", 10000, "update batch size")
 	readers := flag.Int("readers", 4, "reader goroutines")
 	writers := flag.Int("writers", 4, "writer (update) parallelism")
@@ -60,7 +55,7 @@ func main() {
 		Seed:       1,
 		Params:     lds.Params{Delta: *delta, Lambda: *lambda},
 	}
-	if err := run(*exp, splitList(*datasets), parseInts(*batchSizes), parseInts(*threads), parseInts(*shards), parseInts(*depths), cfg); err != nil {
+	if err := run(*exp, splitList(*datasets), parseInts(*batchSizes), parseInts(*threads), parseInts(*shards), cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "kcore-bench:", err)
 		os.Exit(1)
 	}
@@ -93,7 +88,7 @@ func parseInts(s string) []int {
 	return out
 }
 
-func run(exp string, datasets []string, batchSizes, threads, shards, depths []int, cfg bench.Config) error {
+func run(exp string, datasets []string, batchSizes, threads, shards []int, cfg bench.Config) error {
 	// Default dataset lists per experiment (paper's choices, stand-ins).
 	latencyDefault := []string{"dblp", "wiki", "yt", "ctr"}
 	sweepDefault := []string{"yt", "dblp"}
@@ -126,14 +121,8 @@ func run(exp string, datasets []string, batchSizes, threads, shards, depths []in
 		return bench.Figure7(w, pick(scaleDefault), threads, cfg)
 	case "shardscale":
 		return bench.FigureShards(w, pick(scaleDefault), shards, cfg)
-	case "viewreads":
-		return bench.FigureViewReads(w, pick(scaleDefault), shards, cfg)
-	case "mvreads":
-		return bench.FigureMVReads(w, pick(scaleDefault), shards, depths, cfg)
 	case "ablation":
 		return bench.Ablation(w, pick(errorDefault), cfg)
-	case "feed":
-		return bench.FigureFeed(w, pick(scaleDefault), shards, cfg)
 	case "all":
 		rows, err := bench.Table1(datasets)
 		if err != nil {
@@ -157,15 +146,6 @@ func run(exp string, datasets []string, batchSizes, threads, shards, depths []in
 			return err
 		}
 		if err := bench.FigureShards(w, pick(scaleDefault), shards, cfg); err != nil {
-			return err
-		}
-		if err := bench.FigureViewReads(w, pick(scaleDefault), shards, cfg); err != nil {
-			return err
-		}
-		if err := bench.FigureMVReads(w, pick(scaleDefault), shards, depths, cfg); err != nil {
-			return err
-		}
-		if err := bench.FigureFeed(w, pick(scaleDefault), shards, cfg); err != nil {
 			return err
 		}
 		return bench.Ablation(w, pick(errorDefault), cfg)

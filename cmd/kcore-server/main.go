@@ -100,7 +100,7 @@ func main() {
 		"how long a ?min_epoch= read may wait for the epoch floor before shedding with 412")
 	maxSubs := flag.Int("max-subscribers", 0,
 		"max concurrent /subscribe change-feed streams (0 = unlimited)")
-	eventBuffer := flag.Int("event-buffer", 0,
+	feedBuffer := flag.Int("event-buffer", 0,
 		"per-subscriber change-feed buffer in epochs; slower subscribers get gap markers (0 = default 64)")
 	feedHeartbeat := flag.Duration("feed-heartbeat", server.DefaultFeedHeartbeat,
 		"idle /subscribe stream heartbeat period")
@@ -114,7 +114,7 @@ func main() {
 		server.WithRequestTimeout(*reqTimeout),
 		server.WithMinEpochWait(*minEpochWait),
 		server.WithMaxSubscribers(*maxSubs),
-		server.WithEventBuffer(*eventBuffer),
+		server.WithEventBuffer(*feedBuffer),
 		server.WithFeedHeartbeat(*feedHeartbeat),
 	}
 	if *replListen != "" {

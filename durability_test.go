@@ -8,7 +8,9 @@ import (
 	"sync"
 	"testing"
 
+	"kcore/internal/lds"
 	"kcore/internal/shard"
+	"kcore/internal/wal"
 )
 
 // scriptOp is one replayable update batch of the recovery tests.
@@ -268,6 +270,24 @@ func TestWALSnapshotPlusTail(t *testing.T) {
 			t.Fatalf("shards=%d: snapshot not recorded in stats: %+v", shards, st)
 		}
 		if err := d1.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Recovery alone keeps the cross-shard vector log in lockstep with
+		// the restored and replayed shard epochs: no retention setup
+		// follows wal.Open here.
+		eng := shard.New(n, shards, lds.DefaultParams())
+		m, err := wal.Open(dir, eng, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.CheckInvariants(); err != nil {
+			t.Fatalf("shards=%d: bare engine after recovery: %v", shards, err)
+		}
+		if eng.Epoch() != want.epoch {
+			t.Fatalf("shards=%d: bare engine recovered epoch %d, want %d", shards, eng.Epoch(), want.epoch)
+		}
+		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
 

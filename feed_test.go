@@ -3,7 +3,6 @@ package kcore
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -29,8 +28,9 @@ func drainFeed(sub *Subscription) []EventDelivery {
 // TestFeedEventsMatchEpochPinnedReads is the consistency acceptance test:
 // in both engine modes, every delivered event's NewCore must equal the
 // epoch-pinned read at its epoch, its OldCore the read at the epoch before,
-// and the delivered vertex set per epoch must equal the brute-force diff of
-// the two adjacent epoch-pinned full reads.
+// the delivered vertex set per epoch must equal the brute-force diff of
+// the two adjacent epoch-pinned full reads, and each delivery's events
+// must come in strictly ascending vertex order.
 func TestFeedEventsMatchEpochPinnedReads(t *testing.T) {
 	const n = 128
 	for _, shards := range []int{1, 4} {
@@ -79,9 +79,12 @@ func TestFeedEventsMatchEpochPinnedReads(t *testing.T) {
 					t.Fatalf("epoch %d: %d events delivered, brute force found %d movers",
 						e, len(del.Events), len(moved))
 				}
-				for _, ev := range del.Events {
+				for i, ev := range del.Events {
 					if ev.Epoch != e {
 						t.Fatalf("event epoch %d inside delivery for epoch %d", ev.Epoch, e)
+					}
+					if i > 0 && del.Events[i-1].Vertex >= ev.Vertex {
+						t.Fatalf("epoch %d: vertex %d delivered after %d", e, ev.Vertex, del.Events[i-1].Vertex)
 					}
 					if _, ok := moved[ev.Vertex]; !ok {
 						t.Fatalf("epoch %d: event for non-mover vertex %d", e, ev.Vertex)
@@ -284,6 +287,70 @@ func TestFeedShardedEpochOrdering(t *testing.T) {
 	}
 }
 
+// TestFeedShardedWithoutRetention covers the feed on a sharded engine that
+// retains no epochs, where the vector log is only the global epoch
+// counter: under two concurrent writers, delivered epochs must strictly
+// increase and never pass the engine's epoch, and folding every event's
+// NewCore into the estimates read before subscribing must reproduce the
+// final state of every vertex.
+func TestFeedShardedWithoutRetention(t *testing.T) {
+	const n = 128
+	d, err := New(n, WithShards(4), WithRetainedEpochs(0), WithEventBuffer(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.InsertEdges(ring(n))
+	vs := vertexRange(n)
+	folded := d.View().CorenessMany(vs)
+
+	sub, err := d.Subscribe(EventFilter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := clique(12 + 8*w)
+			for i := 0; i < 6; i++ {
+				for j := range c {
+					c[j] = Edge{U: (c[j].U + 7) % n, V: (c[j].V + 7) % n}
+				}
+				d.InsertEdges(c)
+				d.DeleteEdges(c[:len(c)/2])
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	last, events := uint64(0), 0
+	for _, del := range drainFeed(sub) {
+		if del.Gap {
+			t.Fatalf("unexpected gap with a large buffer: %+v", del)
+		}
+		if del.Epoch <= last || del.Epoch > d.Epoch() {
+			t.Fatalf("epoch %d delivered after %d (engine at %d)", del.Epoch, last, d.Epoch())
+		}
+		last = del.Epoch
+		for _, ev := range del.Events {
+			if math.Float64bits(folded[ev.Vertex]) != math.Float64bits(ev.OldCore) {
+				t.Fatalf("epoch %d vertex %d: OldCore %v, folded %v", del.Epoch, ev.Vertex, ev.OldCore, folded[ev.Vertex])
+			}
+			folded[ev.Vertex] = ev.NewCore
+			events++
+		}
+	}
+	if events == 0 {
+		t.Fatal("workload produced no events; test is vacuous")
+	}
+	if want := d.View().CorenessMany(vs); !equalF64(folded, want) {
+		t.Fatalf("folded feed %v, final view %v", folded, want)
+	}
+}
+
 // TestFeedSubscriberCapOption checks WithMaxSubscribers end to end.
 func TestFeedSubscriberCapOption(t *testing.T) {
 	d, err := New(16, WithMaxSubscribers(1))
@@ -299,8 +366,8 @@ func TestFeedSubscriberCapOption(t *testing.T) {
 	}
 }
 
-// feedEventsByEpoch canonicalizes a drained feed for comparison: events
-// grouped per epoch, sorted by vertex within each, failing on gap markers.
+// feedEventsByEpoch groups a drained feed's events per epoch, in delivery
+// order, failing on gap markers.
 func feedEventsByEpoch(t *testing.T, who string, ds []EventDelivery) map[uint64][]CoreEvent {
 	t.Helper()
 	byEpoch := make(map[uint64][]CoreEvent)
@@ -311,9 +378,7 @@ func feedEventsByEpoch(t *testing.T, who string, ds []EventDelivery) map[uint64]
 		if _, dup := byEpoch[del.Epoch]; dup {
 			t.Fatalf("%s feed delivered epoch %d twice", who, del.Epoch)
 		}
-		evs := append([]CoreEvent(nil), del.Events...)
-		sort.Slice(evs, func(i, j int) bool { return evs[i].Vertex < evs[j].Vertex })
-		byEpoch[del.Epoch] = evs
+		byEpoch[del.Epoch] = del.Events
 	}
 	return byEpoch
 }

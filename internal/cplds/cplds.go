@@ -34,7 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"kcore/internal/feed"
 	"kcore/internal/graph"
 	"kcore/internal/lds"
 	"kcore/internal/mvcc"
@@ -146,35 +145,33 @@ type CPLDS struct {
 	// completes (exactly the paper's synchronous baseline).
 	gate sync.RWMutex
 
-	// store, when non-nil, is the multi-version store: BatchEnd appends
-	// each batch's (vertex, pre-batch level) undo records — read straight
-	// out of the marked arena and the descriptor pool, so the capture adds
-	// no per-move work to the batch itself — and the *At read protocols
-	// overlay the retained deltas to serve retired epochs exactly.
+	// delta is this batch's commit delta, reused across batches: BatchEnd
+	// fills it with one pass over the marked arena after the unmark passes
+	// (pre-batch levels from the descriptor pool, post-batch levels live),
+	// keeping only movers whose level changed, sorted by vertex. It is
+	// filled only when store is set or commitActive reports a consumer.
+	delta mvcc.Delta
+
+	// store, when non-nil, is the multi-version store: BatchEnd puts each
+	// batch's delta into it before publishing the commit, and the *At read
+	// protocols overlay the retained deltas to serve retired epochs exactly.
 	store *mvcc.Store
 
-	// onCommit, when non-nil, wraps the final commit publication of each
-	// batch: it receives a closure that flips commitSeq even and must call
-	// it exactly once. The sharded engine uses it to serialize commit
-	// publication with its cross-shard vector log, so global epochs map to
-	// well-defined per-shard commit vectors.
-	onCommit func(publish func())
+	// onCommit, when non-nil, is the commit hook: it receives this batch's
+	// delta and a closure that flips commitSeq even, and must call that
+	// closure exactly once. It runs while the gate still excludes the next
+	// batch. The sharded engine uses it to serialize publication with its
+	// cross-shard vector log and to derive change-feed events from the
+	// delta. commitActive is evaluated once per commit; when it reports
+	// false and retention is off, the delta's Moves are left empty.
+	onCommit     func(d *mvcc.Delta, publish func())
+	commitActive func() bool
+	publish      func() // c.publishCommit, bound once so commits allocate nothing
 
 	// beforeUnmark, when non-nil, runs at the start of BatchEnd while all
 	// descriptors are still in place. Test hook for inspecting the final
 	// dependency DAGs of a batch.
 	beforeUnmark func(kind plds.Kind, marked []uint32)
-
-	// eventSink, when non-nil, receives this batch's coreness transitions
-	// right after commit publication, while the gate still excludes the
-	// next batch. eventActive gates the extraction: when it reports false
-	// (no subscribers) BatchEnd skips the mover walk entirely, so an idle
-	// feed costs one function call per batch. eventBuf is the reused
-	// extraction arena — the slice passed to eventSink is only valid for
-	// the duration of the call.
-	eventSink   func(localEpoch uint64, events []feed.Event)
-	eventActive func() bool
-	eventBuf    []feed.Event
 
 	// noPathCompression disables path compression in DAG traversals (reads
 	// and unions). Ablation knob: compression is the paper's §5.2
@@ -204,6 +201,7 @@ func New(n int, p lds.Params) *CPLDS {
 	}
 	c.P = plds.New(n, p, c)
 	c.S = c.P.S
+	c.publish = c.publishCommit
 	return c
 }
 
@@ -314,52 +312,38 @@ func (c *CPLDS) BatchEnd(kind plds.Kind) {
 	parallel.For(len(marked), func(i int) {
 		c.desc[marked[i]].Store(nil)
 	})
-	// Retention: snapshot this batch's undo records into the multi-version
-	// store *before* publishing the commit, so any reader that observes the
-	// new epoch finds its delta present. The pre-batch levels still sit in
-	// the descriptor pool (unmarking clears the descriptor pointers, not
+	// Capture the commit delta in one pass. The pre-batch levels still sit
+	// in the descriptor pool (unmarking clears the descriptor pointers, not
 	// the pooled `old` fields; a vertex's pool slot is only rewritten when
 	// the *next* batch marks it, which this batch's gate still excludes).
+	d := &c.delta
+	d.Epoch = (c.commitSeq.Load() + 1) >> 1
+	d.Moves = d.Moves[:0]
+	if c.store != nil || (c.onCommit != nil && c.commitActive()) {
+		for _, v := range marked {
+			if old, now := c.pool[v].old.Load(), c.P.Level(v); old != now {
+				d.Moves = append(d.Moves, mvcc.Move{V: v, Old: old, New: now})
+			}
+		}
+		slices.SortFunc(d.Moves, func(a, b mvcc.Move) int { return cmp.Compare(a.V, b.V) })
+	}
+	// Retention: retain the delta *before* publishing the commit, so any
+	// reader that observes the new epoch finds its delta present.
 	if c.store != nil {
-		c.store.Append((c.commitSeq.Load()+1)>>1, marked,
-			func(v uint32) int32 { return c.pool[v].old.Load() })
+		c.store.Put(d)
 	}
 	// Leave the unmark phase: commitSeq becomes 2*(epoch+1) — the batch is
 	// committed and uniformly visible.
 	if c.onCommit != nil {
-		c.onCommit(func() { c.commitSeq.Add(1) })
+		c.onCommit(d, c.publish)
 	} else {
-		c.commitSeq.Add(1)
-	}
-	// Change feed: extract this batch's coreness transitions from the same
-	// arenas the retention capture reads — pre-batch levels still in the
-	// descriptor pool, post-batch levels live. Runs after publication (so
-	// the events' epoch is already readable) but before the gate drops (so
-	// the pool slots cannot yet be rewritten by the next batch). Skipped
-	// with a single predicate call when nobody subscribes.
-	if c.eventSink != nil && c.eventActive() {
-		epoch := c.commitSeq.Load() >> 1
-		buf := c.eventBuf[:0]
-		for _, v := range marked {
-			oldLevel := c.pool[v].old.Load()
-			newLevel := c.P.Level(v)
-			if oldLevel == newLevel {
-				continue
-			}
-			buf = append(buf, feed.Event{
-				Epoch:   epoch,
-				Vertex:  v,
-				OldCore: c.S.EstimateFromLevel(oldLevel),
-				NewCore: c.S.EstimateFromLevel(newLevel),
-			})
-		}
-		c.eventBuf = buf
-		if len(buf) > 0 {
-			c.eventSink(epoch, buf)
-		}
+		c.publish()
 	}
 	c.gate.Unlock()
 }
+
+// publishCommit flips commitSeq even, publishing the batch's commit.
+func (c *CPLDS) publishCommit() { c.commitSeq.Add(1) }
 
 // --- dependency-DAG union-find over descriptors ---
 
@@ -683,22 +667,14 @@ func (c *CPLDS) RetainedEpochs() int {
 	return c.store.Retain()
 }
 
-// SetCommitHook installs a hook wrapping the commit publication of every
-// batch (see the onCommit field). Quiescent use only.
-func (c *CPLDS) SetCommitHook(h func(publish func())) { c.onCommit = h }
-
-// SetEventSink installs the change-feed extraction hook (see the
-// eventSink field): after every commit publication, if active() reports
-// subscribers, sink receives the batch's coreness transitions stamped
-// with this instance's local epoch. The slice is reused across batches —
-// sink must not retain it. Pass (nil, nil) to disable. Quiescent use
-// only.
-func (c *CPLDS) SetEventSink(active func() bool, sink func(localEpoch uint64, events []feed.Event)) {
-	if sink == nil || active == nil {
-		c.eventSink, c.eventActive = nil, nil
-		return
-	}
-	c.eventSink, c.eventActive = sink, active
+// SetCommitHook installs the commit hook (see the onCommit field): after
+// every batch, h receives the batch's delta and the publish closure, which
+// it must call exactly once. active reports whether h needs the delta's
+// Moves; it is evaluated once per commit, and the Moves are filled anyway
+// when retention is on. The delta is reused across batches — h must not
+// retain it. Pass (nil, nil) to remove. Quiescent use only.
+func (c *CPLDS) SetCommitHook(active func() bool, h func(d *mvcc.Delta, publish func())) {
+	c.commitActive, c.onCommit = active, h
 }
 
 // OldestReadableEpoch returns the oldest epoch the *At protocols can still

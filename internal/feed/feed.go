@@ -1,8 +1,9 @@
-// Package feed turns the mover sets the PLDS sweeps already compute into
-// a subscription change feed. At every batch commit the engine hands the
-// hub one slice of per-vertex coreness transitions stamped with the
-// commit's (cross-shard) epoch; the hub fans them out to subscribers over
-// bounded buffered channels.
+// Package feed turns each batch's commit delta — the movers the PLDS
+// sweeps already compute — into a subscription change feed. At every
+// batch commit the engine hands the hub one slice of per-vertex coreness
+// transitions, in ascending vertex order and stamped with the commit's
+// (cross-shard) epoch; epochs reach the hub in increasing order. The hub
+// fans them out to subscribers over bounded buffered channels.
 //
 // Backpressure policy: the commit path never blocks on a subscriber.
 // A subscriber whose buffer is full gets a gap marker carrying the epoch
@@ -89,14 +90,14 @@ func (c *compiled) match(e Event) bool {
 }
 
 // Delivery is one message on a subscription channel: either the matching
-// events of one committed epoch, or a gap marker covering the epochs
-// [GapFrom, GapTo] the subscriber was too slow to receive. After a gap,
-// re-read the vertices you care about with an epoch-pinned read at GapTo
-// (or any later epoch) to resynchronize.
+// events of one committed epoch, in ascending vertex order, or a gap
+// marker covering the epochs [GapFrom, GapTo] the subscriber was too slow
+// to receive. After a gap, re-read the vertices you care about with an
+// epoch-pinned read at GapTo (or any later epoch) to resynchronize.
 type Delivery struct {
-	Epoch  uint64
-	Events []Event
-	Gap    bool
+	Epoch   uint64
+	Events  []Event
+	Gap     bool
 	GapFrom uint64
 	GapTo   uint64
 }
@@ -104,11 +105,11 @@ type Delivery struct {
 // Stats is a snapshot of the hub's counters.
 type Stats struct {
 	Subscribers int    `json:"subscribers"`
-	Epochs      uint64 `json:"epochs"`      // commits published to the hub
-	Events      uint64 `json:"events"`      // events offered (pre-filter, per commit)
-	Deliveries  uint64 `json:"deliveries"`  // deliveries enqueued across subscribers
-	Drops       uint64 `json:"drops"`       // deliveries dropped at full buffers
-	Gaps        uint64 `json:"gaps"`        // gap markers enqueued
+	Epochs      uint64 `json:"epochs"`     // commits published to the hub
+	Events      uint64 `json:"events"`     // events offered (pre-filter, per commit)
+	Deliveries  uint64 `json:"deliveries"` // deliveries enqueued across subscribers
+	Drops       uint64 `json:"drops"`      // deliveries dropped at full buffers
+	Gaps        uint64 `json:"gaps"`       // gap markers enqueued
 }
 
 var (

@@ -7,21 +7,23 @@
 // # Model
 //
 // Each engine instance (one CPLDS, or one shard of the sharded engine) owns
-// a Store. The updater appends one delta per committed batch — the batch's
-// movers with their pre-batch levels, exactly the data the CPLDS descriptor
-// pool already holds at batch end — and the Store retains the most recent
-// `retain` deltas, evicting oldest-first. A vertex's level at epoch E is
-// then its live level at the current epoch C, overridden by the *earliest*
-// delta in (E, C] that contains the vertex (that delta recorded the
-// vertex's level before its first post-E move, which is its level at E).
+// a Store. At every commit the instance captures one Delta — the batch's
+// changed-level movers with their pre- and post-batch levels, sorted by
+// vertex — and Put retains its (vertex, pre-batch level) pairs. The Store
+// keeps the most recent `retain` deltas, evicting oldest-first. A vertex's
+// level at epoch E is then its live level at the current epoch C,
+// overridden by the *earliest* delta in (E, C] that contains the vertex
+// (that delta recorded the vertex's level before its first post-E move,
+// which is its level at E).
 //
-// The sharded engine additionally owns a VectorLog: cross-shard epochs are
-// sums of per-shard committed counts, so serving a retired global epoch
-// requires the per-shard commit vector it corresponds to. The log makes the
-// global epoch ↔ vector mapping well defined by serializing every shard's
-// commit *publication* under the log lock: log order is publication order,
-// so the stable vector a pinned read certifies for sum E is exactly the
-// logged vector at E.
+// Every sharded engine (P > 1) additionally owns a VectorLog, whatever its
+// retention: cross-shard epochs are sums of per-shard committed counts, the
+// log is the one counter that assigns them, and serving a retired global
+// epoch requires the per-shard commit vector it corresponds to. The log
+// makes the global epoch ↔ vector mapping well defined by serializing every
+// shard's commit *publication* under the log lock: log order is publication
+// order, so the stable vector a pinned read certifies for sum E is exactly
+// the logged vector at E.
 //
 // # Retention and pins
 //
@@ -85,6 +87,22 @@ func (e *FutureEpochError) Error() string {
 // Unwrap matches ErrFuture.
 func (e *FutureEpochError) Unwrap() error { return ErrFuture }
 
+// Move is one vertex's level change in one committed batch: V moved from
+// level Old (at the batch's epoch minus one) to level New (at its epoch).
+type Move struct {
+	V        uint32
+	Old, New int32
+}
+
+// Delta is what one committed batch changed: the instance-local epoch the
+// batch created and its movers whose level differs across the batch,
+// sorted by V. The CPLDS fills one reused Delta per commit; its readers
+// (Store.Put, the commit hook) must not retain it past the call.
+type Delta struct {
+	Epoch uint64
+	Moves []Move
+}
+
 // Record is one undo record: vertex V had level Old before the batch this
 // record's delta belongs to (i.e. at the delta's epoch minus one).
 type Record struct {
@@ -113,9 +131,9 @@ func (d *delta) lookup(v uint32) (int32, bool) {
 
 // Store is the per-engine-instance ring of epoch deltas.
 //
-// Concurrency: Append is called by the instance's single updater at batch
-// end; Overlay*, Pin, Unpin, Check and OldestReadable may be called from
-// any goroutine at any time.
+// Concurrency: Put (or Append) is called by the instance's single updater
+// at batch end; Overlay*, Pin, Unpin, Check and OldestReadable may be
+// called from any goroutine at any time.
 type Store struct {
 	mu     sync.RWMutex
 	retain int
@@ -166,23 +184,29 @@ func (s *Store) OldestReadable(cur uint64) uint64 {
 	return s.oldestReadableLocked(cur)
 }
 
-// Append records the delta of the batch committing epoch `epoch`: for every
-// vertex in movers (the batch's marked set, duplicate-free), oldOf must
-// return its pre-batch level. The caller must invoke Append before
-// publishing the commit to readers, so any reader that observes `epoch`
-// finds its delta present. Epochs must be appended consecutively.
+// Put retains the undo records of d, the delta of the batch committing
+// d.Epoch: its movers' pre-batch levels, already sorted by vertex. The
+// caller must invoke Put before publishing the commit to readers, so any
+// reader that observes d.Epoch finds its delta present. Epochs must be put
+// consecutively.
+func (s *Store) Put(d *Delta) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	recs := s.recordsLocked(d.Epoch)
+	for _, m := range d.Moves {
+		recs = append(recs, Record{V: m.V, Old: m.Old})
+	}
+	s.deltas = append(s.deltas, delta{epoch: d.Epoch, recs: recs})
+	s.evictLocked()
+}
+
+// Append is Put for a delta given as an unsorted mover set: for every
+// vertex in movers (duplicate-free), oldOf must return its pre-batch
+// level. Used to replay recorded movers into a standalone store.
 func (s *Store) Append(epoch uint64, movers []uint32, oldOf func(uint32) int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := len(s.deltas); n > 0 && s.deltas[n-1].epoch+1 != epoch {
-		panic(fmt.Sprintf("mvcc: non-consecutive delta append: have %d, appending %d",
-			s.deltas[n-1].epoch, epoch))
-	}
-	var recs []Record
-	if n := len(s.free); n > 0 {
-		recs = s.free[n-1][:0]
-		s.free = s.free[:n-1]
-	}
+	recs := s.recordsLocked(epoch)
 	for _, v := range movers {
 		recs = append(recs, Record{V: v, Old: oldOf(v)})
 	}
@@ -191,11 +215,27 @@ func (s *Store) Append(epoch uint64, movers []uint32, oldOf func(uint32) int32) 
 	s.evictLocked()
 }
 
+// recordsLocked checks that epoch follows the newest retained delta and
+// returns an empty record buffer, recycled when one is free.
+func (s *Store) recordsLocked(epoch uint64) []Record {
+	if n := len(s.deltas); n > 0 && s.deltas[n-1].epoch+1 != epoch {
+		panic(fmt.Sprintf("mvcc: non-consecutive delta append: have %d, appending %d",
+			s.deltas[n-1].epoch, epoch))
+	}
+	n := len(s.free)
+	if n == 0 {
+		return nil
+	}
+	recs := s.free[n-1][:0]
+	s.free = s.free[:n-1]
+	return recs
+}
+
 // Reset drops every retained delta and pin, recycling the record buffers:
 // the ring restarts empty, exactly as if the store were freshly built.
 // Used when the owning instance is restored to an externally supplied
 // state (replication bootstrap) — pre-restore epochs are no longer
-// reconstructable, and the next Append may start at any epoch. Safe
+// reconstructable, and the next Put may start at any epoch. Safe
 // concurrent with readers, which simply observe an empty ring; reads and
 // unpins of previously pinned epochs fail softly afterwards.
 func (s *Store) Reset() {

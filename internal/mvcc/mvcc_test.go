@@ -1,12 +1,14 @@
 package mvcc
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"testing"
 )
 
 // fakeHistory drives a Store the way an engine updater would: level[v]
-// evolves over epochs, each commit appends the movers' pre-batch levels.
+// evolves over epochs, each commit puts the batch's sorted delta.
 type fakeHistory struct {
 	store  *Store
 	cur    uint64
@@ -28,15 +30,16 @@ func (h *fakeHistory) snapshot() {
 
 // commit applies moves (vertex -> new level) as one batch.
 func (h *fakeHistory) commit(moves map[uint32]int32) {
-	movers := make([]uint32, 0, len(moves))
-	old := make(map[uint32]int32, len(moves))
+	h.cur++
+	d := &Delta{Epoch: h.cur}
 	for v, nl := range moves {
-		movers = append(movers, v)
-		old[v] = h.levels[v]
+		if h.levels[v] != nl {
+			d.Moves = append(d.Moves, Move{V: v, Old: h.levels[v], New: nl})
+		}
 		h.levels[v] = nl
 	}
-	h.cur++
-	h.store.Append(h.cur, movers, func(v uint32) int32 { return old[v] })
+	slices.SortFunc(d.Moves, func(a, b Move) int { return cmp.Compare(a.V, b.V) })
+	h.store.Put(d)
 	h.snapshot()
 }
 
@@ -187,7 +190,12 @@ func TestVectorLogMapsEpochsToVectors(t *testing.T) {
 	published := 0
 	order := []int{1, 0, 1, 2}
 	for _, s := range order {
-		l.Commit(s, func() { published++ })
+		l.Commit(s, func(epoch uint64) {
+			published++
+			if epoch != uint64(published) {
+				t.Fatalf("commit %d published at epoch %d", published, epoch)
+			}
+		})
 	}
 	if published != len(order) {
 		t.Fatalf("publish invoked %d times, want %d", published, len(order))
@@ -221,7 +229,7 @@ func TestVectorLogMapsEpochsToVectors(t *testing.T) {
 func TestVectorLogEvictionAndPins(t *testing.T) {
 	l := NewVectorLog([]uint64{0, 0}, 2)
 	for i := 0; i < 6; i++ {
-		l.Commit(i%2, func() {})
+		l.Commit(i%2, func(uint64) {})
 	}
 	// Retain 2 retired epochs + current: 4..6 readable.
 	if got := l.OldestReadable(); got != 4 {
@@ -239,7 +247,7 @@ func TestVectorLogEvictionAndPins(t *testing.T) {
 	}
 	pinned := append([]uint64(nil), dst...)
 	for i := 0; i < 8; i++ {
-		l.Commit(i%2, func() {})
+		l.Commit(i%2, func(uint64) {})
 	}
 	if err := l.VectorAt(4, dst); err != nil {
 		t.Fatalf("pinned vector evicted: %v", err)
@@ -255,9 +263,60 @@ func TestVectorLogEvictionAndPins(t *testing.T) {
 	if l.Unpin(4, dst) {
 		t.Fatal("Unpin of unpinned epoch succeeded")
 	}
-	l.Commit(0, func() {})
+	l.Commit(0, func(uint64) {})
 	if err := l.VectorAt(4, dst); !errors.Is(err, ErrEvicted) {
 		t.Fatalf("VectorAt(4) after release = %v, want ErrEvicted", err)
+	}
+
+	// retain = 0 keeps only the live vector: the log is just the counter.
+	l = NewVectorLog([]uint64{3, 1}, 0)
+	for i := 0; i < 5; i++ {
+		l.Commit(i%2, func(uint64) {})
+	}
+	cur := l.Epoch()
+	if cur != 9 || l.OldestReadable() != cur {
+		t.Fatalf("retain 0: Epoch %d, OldestReadable %d, want both 9", cur, l.OldestReadable())
+	}
+	if err := l.Check(cur); err != nil {
+		t.Fatalf("retain 0: Check(current) = %v", err)
+	}
+	if err := l.Check(cur - 1); !errors.Is(err, ErrEvicted) {
+		t.Fatalf("retain 0: Check(current-1) = %v, want ErrEvicted", err)
+	}
+	if err := l.CheckInvariants([]uint64{6, 3}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppendMatchesPut replays the same batches into one store through
+// Append (unsorted movers, no-op movers included) and into another through
+// Put (sorted changed-level moves): every retained epoch must overlay
+// identically.
+func TestAppendMatchesPut(t *testing.T) {
+	h := newFakeHistory(6, 8)
+	appended := NewStore(8)
+	batches := []map[uint32]int32{{5: 2, 0: 4, 3: 0}, {3: 3, 0: 1}, {1: 1, 5: 2, 4: 6}}
+	for _, moves := range batches {
+		old := append([]int32(nil), h.levels...)
+		movers := make([]uint32, 0, len(moves))
+		for v := range moves {
+			movers = append(movers, v)
+		}
+		h.commit(moves)
+		appended.Append(h.cur, movers, func(v uint32) int32 { return old[v] })
+	}
+	for e := uint64(0); e <= h.cur; e++ {
+		want := h.levelsAt(t, e)
+		got := append([]int32(nil), h.levels...)
+		if err := appended.OverlayAll(e, h.cur, got); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("epoch %d: Append overlays %v, Put overlays %v", e, got, want)
+		}
+	}
+	if err := appended.CheckInvariants(h.cur); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -18,7 +18,9 @@ import (
 //
 // Like Store, the log is a bounded ring with pins: the most recent
 // `retain`+1 vectors stay resolvable (the +1 is the current epoch, which is
-// always readable), and pinned epochs extend retention oldest-first.
+// always readable), and pinned epochs extend retention oldest-first. With
+// retain = 0 it keeps only the live vector and is just the engine's global
+// epoch counter.
 type VectorLog struct {
 	mu     sync.Mutex
 	retain int
@@ -32,11 +34,9 @@ type VectorLog struct {
 
 // NewVectorLog returns a log over the given initial per-shard committed
 // counts (all zero for a fresh engine), retaining the vectors of the most
-// recent `retain` retired epochs (retain >= 1).
+// recent `retain` retired epochs (retain <= 0 keeps only the live vector).
 func NewVectorLog(initial []uint64, retain int) *VectorLog {
-	if retain < 1 {
-		retain = 1
-	}
+	retain = max(retain, 0)
 	cur := make([]uint64, len(initial))
 	copy(cur, initial)
 	var sum uint64
@@ -55,16 +55,16 @@ func NewVectorLog(initial []uint64, retain int) *VectorLog {
 	}
 }
 
-// Commit records one shard's batch commit atomically with its publication:
-// publish must flip the shard's commit sequence to even (making the commit
-// visible to readers) and is invoked under the log lock, so log order is
-// exactly publication order. Called from each shard's updater at batch
-// end. Returns the new global epoch (the post-commit sum), which the
-// change feed uses to stamp this commit's events.
-func (l *VectorLog) Commit(shard int, publish func()) uint64 {
+// Commit records one shard's batch commit atomically with its publication.
+// Under the log lock it logs the shard's advanced vector and then calls
+// publish with the new global epoch (the post-commit sum). publish must
+// flip the shard's commit sequence to even, making the commit visible to
+// readers, and may then hand the commit to consumers that need epoch order
+// (the change feed): log order, publication order and epoch order are one
+// order. Called from each shard's updater at batch end.
+func (l *VectorLog) Commit(shard int, publish func(epoch uint64)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	publish()
 	l.cur[shard]++
 	l.sum++
 	var vec []uint64
@@ -77,7 +77,7 @@ func (l *VectorLog) Commit(shard int, publish func()) uint64 {
 	copy(vec, l.cur)
 	l.vecs = append(l.vecs, vec)
 	l.evictLocked()
-	return l.sum
+	publish(l.sum)
 }
 
 // Reset reinitializes the log over new per-shard committed counts,

@@ -97,12 +97,14 @@ func (e *Engine) ShardDurable(si int) wal.ShardState {
 func (e *Engine) ShardEpoch(si int) uint64 { return e.shards[si].c.Epoch() }
 
 // RestoreShard restores shard si from st: the shard's CPLDS is rebuilt
-// from the snapshot, the cumulative counters are re-seeded, and the live
-// edge counters (local, primary, global) are recomputed from the restored
-// subgraph. Recovery calls it on a fresh engine before it serves traffic;
-// replication bootstrap calls it on a live read-serving engine via
-// RestoreAll (the CPLDS restore is reader-safe, and the global edge
-// counter is adjusted by the delta against the shard's previous count).
+// from the snapshot (its delta store restarts empty), the cumulative
+// counters are re-seeded, the live edge counters (local, primary, global)
+// are recomputed from the restored subgraph, and with p > 1 the vector log
+// is re-based on the restored commit vector. Recovery calls it on a fresh
+// engine before it serves traffic; replication bootstrap calls it on a
+// live read-serving engine via RestoreAll (the CPLDS restore is
+// reader-safe, and the global edge counter is adjusted by the delta
+// against the shard's previous count).
 func (e *Engine) RestoreShard(si int, st wal.ShardState) error {
 	s := e.shards[si]
 	if err := s.c.Restore(st.Graph, st.Levels, st.Epoch); err != nil {
@@ -120,16 +122,16 @@ func (e *Engine) RestoreShard(si int, st wal.ShardState) error {
 	}
 	e.numEdges.Add(primary - s.primaryEdges.Swap(primary))
 	s.localEdges.Store(local)
+	if e.p > 1 {
+		e.vlog.Reset(e.shardEpochs())
+	}
 	return nil
 }
 
 // RestoreAll restores every shard from states inside one quiesce section
-// and re-bases the multi-version bookkeeping on the restored epochs: each
-// shard's delta store restarts empty (inside its CPLDS restore) and the
-// cross-shard vector log, when retention is on, restarts at the restored
-// commit vector. Safe on a live engine serving concurrent reads — this is
-// the follower-side entry point for replication bootstrap. Updaters are
-// excluded for the duration (they queue and drain after).
+// (see RestoreShard). Safe on a live engine serving concurrent reads —
+// this is the follower-side entry point for replication bootstrap.
+// Updaters are excluded for the duration (they queue and drain after).
 func (e *Engine) RestoreAll(states []wal.ShardState) error {
 	if len(states) != e.p {
 		return fmt.Errorf("shard: restore of %d shard states into %d shards", len(states), e.p)
@@ -141,17 +143,6 @@ func (e *Engine) RestoreAll(states []wal.ShardState) error {
 				return
 			}
 		}
-		if e.vlog != nil {
-			counts := make([]uint64, e.p)
-			for si, s := range e.shards {
-				counts[si] = s.c.Epoch()
-			}
-			e.vlog.Reset(counts)
-		}
-		// Re-base the change-feed epoch counter (a no-op unless the feed
-		// is on without retention) so post-restore events carry epochs
-		// consistent with the restored commit vector.
-		e.installCommitHooks()
 	})
 	return err
 }

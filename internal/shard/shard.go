@@ -106,11 +106,9 @@ type shardState struct {
 
 	batches atomic.Uint64 // CPLDS sub-batches (P = 1) or coalesced rounds (P > 1)
 
-	// lastGlobal is the global epoch assigned to this shard's most recent
-	// commit, written inside the commit hook and read by the change-feed
-	// sink later in the same BatchEnd call — both run on the shard's one
-	// updater goroutine, so a plain field suffices.
-	lastGlobal uint64
+	// events is the change-feed extraction arena, reused across commits and
+	// only touched inside this shard's commit hook.
+	events []feed.Event
 
 	// Load counters, maintained atomically by the shard's updater so that
 	// Stats can be served concurrently with updates.
@@ -143,25 +141,20 @@ type Engine struct {
 	numEdges atomic.Int64 // global (deduplicated) edge count
 
 	// Multi-version retention (SetRetainedEpochs): each shard's CPLDS keeps
-	// a per-epoch delta store, and vlog maps cross-shard epochs to the
-	// per-shard commit vectors they correspond to — each shard's commit
-	// publication runs under the log's lock (via the CPLDS commit hook), so
-	// the mapping is total and agrees with the vectors pinned reads
-	// certify. nil (with retained == 0, or with p == 1, where the global
-	// epoch is the single shard's local epoch) when no log is needed.
+	// a per-epoch delta store of depth retained. With p > 1, vlog is the one
+	// cross-shard epoch counter, present whatever the retention: every
+	// shard's commit publication runs under its lock (via the commit hook),
+	// so global epochs are totally ordered, and it maps the most recent
+	// retained global epochs to the per-shard commit vectors pinned reads
+	// certify. nil with p == 1, where the global epoch is the single
+	// shard's local epoch.
 	retained int
 	vlog     *mvcc.VectorLog
 
-	// Change feed (SetEventHub). With p > 1 every event must carry the
-	// cross-shard epoch of its commit: the vector log's Commit returns it
-	// when retention is on; otherwise feedMu+feedEpoch replicate just the
-	// counter half of the log (publication serialized under the mutex, so
-	// global epochs are totally ordered and stamped before the commit is
-	// visible). feedEpoch always tracks commits once installed — counter
-	// sync cannot depend on whether subscribers are attached.
-	hub       *feed.Hub
-	feedMu    sync.Mutex
-	feedEpoch uint64
+	// Change feed (SetEventHub). Each shard's one commit hook (see commit)
+	// derives the feed's events from the CPLDS commit delta, stamped with
+	// the cross-shard epoch of the commit.
+	hub *feed.Hub
 
 	// batchLog, when non-nil, receives one wal.Batch per committed
 	// coalesced round, invoked inside the committing shard's one-updater
@@ -179,7 +172,12 @@ func New(n, p int, params lds.Params) *Engine {
 	}
 	e := &Engine{n: n, p: p, params: params, shards: make([]*shardState, p)}
 	for i := range e.shards {
-		e.shards[i] = &shardState{c: cplds.New(n, params), idx: i}
+		s := &shardState{c: cplds.New(n, params), idx: i}
+		s.c.SetCommitHook(e.feedActive, func(d *mvcc.Delta, publish func()) { e.commit(s, d, publish) })
+		e.shards[i] = s
+	}
+	if p > 1 {
+		e.vlog = mvcc.NewVectorLog(make([]uint64, p), 0)
 	}
 	e.owned = make([]int, p)
 	for v := 0; v < n; v++ {
@@ -420,113 +418,70 @@ func (e *Engine) ReadAllPinned(out []float64) uint64 {
 // protocols (pins can extend the window). Each shard's CPLDS retains n
 // local epoch deltas — one global commit advances exactly one shard, so n
 // local deltas per shard always cover any retained global cut — and, for
-// p > 1, a vector log records the per-shard commit vector of every global
-// epoch. n <= 0 disables retention. Quiescent use only.
+// p > 1, the vector log is rebuilt to keep the per-shard commit vectors of
+// n retired global epochs. n <= 0 disables retention. Quiescent use only.
 func (e *Engine) SetRetainedEpochs(n int) {
-	if n < 0 {
-		n = 0
+	e.retained = max(n, 0)
+	for _, s := range e.shards {
+		s.c.SetRetainedEpochs(e.retained)
 	}
-	e.retained = n
-	if n == 0 || e.p == 1 {
-		e.vlog = nil
-		for _, s := range e.shards {
-			s.c.SetRetainedEpochs(n)
-		}
-	} else {
-		init := make([]uint64, e.p)
-		for si, s := range e.shards {
-			s.c.SetRetainedEpochs(n)
-			init[si] = s.c.Epoch()
-		}
-		e.vlog = mvcc.NewVectorLog(init, n)
+	if e.p > 1 {
+		e.vlog = mvcc.NewVectorLog(e.shardEpochs(), e.retained)
 	}
-	e.installCommitHooks()
 }
 
-// installCommitHooks (re)installs every shard's commit hook to match the
-// current vlog/hub configuration. The hook's job is twofold: serialize
-// commit publication with the cross-shard epoch counter, and record the
-// global epoch each commit lands on (shardState.lastGlobal) for the
-// change-feed sink that runs later in the same BatchEnd. Quiescent use
-// only (called from SetRetainedEpochs, SetEventHub and RestoreAll).
-func (e *Engine) installCommitHooks() {
-	switch {
-	case e.vlog != nil:
-		// The vector log already serializes publication; its Commit hands
-		// back the global epoch.
-		for si, s := range e.shards {
-			si, s := si, s
-			s.c.SetCommitHook(func(publish func()) { s.lastGlobal = e.vlog.Commit(si, publish) })
+// shardEpochs returns every shard's local committed epoch.
+func (e *Engine) shardEpochs() []uint64 {
+	epochs := make([]uint64, e.p)
+	for si, s := range e.shards {
+		epochs[si] = s.c.Epoch()
+	}
+	return epochs
+}
+
+// commit is every shard's commit hook. With p > 1 it publishes the commit
+// under the vector log's lock, which assigns the commit its global epoch;
+// with p == 1 the local epoch is the global one. If a subscriber is
+// attached it then turns the delta's moves into feed events, still inside
+// the publication order, so the hub receives epochs in increasing order,
+// each after it became readable. Mirrored cut edges make a shard's CPLDS
+// move vertices it does not own; reads route to the owner shard, so only
+// owned vertices' moves are coreness changes.
+func (e *Engine) commit(s *shardState, d *mvcc.Delta, publish func()) {
+	emit := func(epoch uint64) {
+		publish()
+		if !e.feedActive() {
+			return
 		}
-	case e.hub != nil && e.p > 1:
-		// Feed without retention: replicate just the counter half of the
-		// vector log, re-based on the current global epoch.
-		e.feedEpoch = 0
-		for _, s := range e.shards {
-			e.feedEpoch += s.c.Epoch()
+		buf := s.events[:0]
+		for _, m := range d.Moves {
+			if e.ShardOf(m.V) == s.idx {
+				buf = append(buf, feed.Event{Epoch: epoch, Vertex: m.V,
+					OldCore: s.c.S.EstimateFromLevel(m.Old), NewCore: s.c.S.EstimateFromLevel(m.New)})
+			}
 		}
-		for _, s := range e.shards {
-			s := s
-			s.c.SetCommitHook(func(publish func()) {
-				e.feedMu.Lock()
-				publish()
-				e.feedEpoch++
-				s.lastGlobal = e.feedEpoch
-				e.feedMu.Unlock()
-			})
-		}
-	default:
-		// p == 1 (local epoch is the global epoch) or no consumer.
-		for _, s := range e.shards {
-			s.c.SetCommitHook(nil)
+		s.events = buf
+		if len(buf) > 0 {
+			e.hub.Publish(epoch, buf)
 		}
 	}
+	if e.p == 1 {
+		emit(d.Epoch)
+	} else {
+		e.vlog.Commit(s.idx, emit)
+	}
 }
+
+// feedActive reports whether a change-feed subscriber is attached. It is
+// every shard's commit-hook activity predicate.
+func (e *Engine) feedActive() bool { return e.hub != nil && e.hub.Active() }
 
 // SetEventHub attaches the change-feed hub: after every shard commit, the
 // batch's coreness transitions are published to h stamped with the
-// cross-shard epoch of that commit (see installCommitHooks). When no
-// subscriber is attached the per-batch cost is one atomic load. nil
-// detaches. Quiescent use only.
-func (e *Engine) SetEventHub(h *feed.Hub) {
-	e.hub = h
-	if h == nil {
-		for _, s := range e.shards {
-			s.c.SetEventSink(nil, nil)
-		}
-		e.installCommitHooks()
-		return
-	}
-	for si, s := range e.shards {
-		si, s := si, s
-		sink := func(localEpoch uint64, events []feed.Event) {
-			if e.p == 1 {
-				h.Publish(localEpoch, events)
-				return
-			}
-			// Mirrored cross-shard edges make this shard's cplds move levels
-			// for vertices it does not own; reads route to the owner shard,
-			// so only owned vertices' transitions are coreness changes. Keep
-			// those, restamped with the cross-shard epoch this commit landed
-			// on. Compacting in place is safe: the slice is the cplds
-			// extraction arena, valid (and ours) until the sink returns.
-			epoch := s.lastGlobal
-			kept := events[:0]
-			for _, ev := range events {
-				if e.ShardOf(ev.Vertex) != si {
-					continue
-				}
-				ev.Epoch = epoch
-				kept = append(kept, ev)
-			}
-			if len(kept) > 0 {
-				h.Publish(epoch, kept)
-			}
-		}
-		s.c.SetEventSink(h.Active, sink)
-	}
-	e.installCommitHooks()
-}
+// cross-shard epoch of that commit (see commit). When no subscriber is
+// attached the per-batch cost is two atomic loads. nil detaches.
+// Quiescent use only.
+func (e *Engine) SetEventHub(h *feed.Hub) { e.hub = h }
 
 // RetainedEpochs returns the configured retention depth (0 = disabled).
 func (e *Engine) RetainedEpochs() int { return e.retained }
@@ -537,9 +492,6 @@ func (e *Engine) OldestReadableEpoch() uint64 {
 	if e.p == 1 {
 		return e.shards[0].c.OldestReadableEpoch()
 	}
-	if e.vlog == nil {
-		return e.Epoch()
-	}
 	return e.vlog.OldestReadable()
 }
 
@@ -548,16 +500,6 @@ func (e *Engine) OldestReadableEpoch() uint64 {
 func (e *Engine) CheckEpoch(epoch uint64) error {
 	if e.p == 1 {
 		return e.shards[0].c.CheckEpoch(epoch)
-	}
-	if e.vlog == nil {
-		cur := e.Epoch()
-		if epoch > cur {
-			return &mvcc.FutureEpochError{Epoch: epoch, Committed: cur}
-		}
-		if epoch < cur {
-			return &mvcc.EvictedEpochError{Epoch: epoch, OldestReadable: cur}
-		}
-		return nil
 	}
 	return e.vlog.Check(epoch)
 }
@@ -572,20 +514,6 @@ func (e *Engine) globalizeEvicted(err error, epoch uint64) error {
 	return err
 }
 
-// currentOnlyErr is the retention-disabled outcome of a requested-epoch
-// read: the collection certified the cut `got`, and only an exact match
-// with the request is servable.
-func currentOnlyErr(epoch, got uint64) error {
-	switch {
-	case got == epoch:
-		return nil
-	case epoch > got:
-		return &mvcc.FutureEpochError{Epoch: epoch, Committed: got}
-	default:
-		return &mvcc.EvictedEpochError{Epoch: epoch, OldestReadable: got}
-	}
-}
-
 // ReadManyAt fills out[i] with the estimate vs[i] had at the given
 // committed global epoch — even a retired one, as long as it is retained
 // (or pinned). The global epoch is resolved to its per-shard commit vector
@@ -595,9 +523,6 @@ func currentOnlyErr(epoch, got uint64) error {
 func (e *Engine) ReadManyAt(vs []uint32, out []float64, epoch uint64) error {
 	if e.p == 1 {
 		return e.shards[0].c.ReadManyAt(vs, out, epoch)
-	}
-	if e.vlog == nil {
-		return currentOnlyErr(epoch, e.ReadManyPinned(vs, out))
 	}
 	vec := make([]uint64, e.p)
 	if err := e.vlog.VectorAt(epoch, vec); err != nil {
@@ -631,9 +556,6 @@ func (e *Engine) ReadAllAt(out []float64, epoch uint64) error {
 	if e.p == 1 {
 		return e.shards[0].c.ReadAllAt(out, epoch)
 	}
-	if e.vlog == nil {
-		return currentOnlyErr(epoch, e.ReadAllPinned(out))
-	}
 	vec := make([]uint64, e.p)
 	if err := e.vlog.VectorAt(epoch, vec); err != nil {
 		return err
@@ -659,13 +581,6 @@ func (e *Engine) PinEpoch(epoch uint64) error {
 	if e.p == 1 {
 		return e.shards[0].c.PinEpoch(epoch)
 	}
-	if e.vlog == nil {
-		cur := e.Epoch()
-		if epoch > cur {
-			return &mvcc.FutureEpochError{Epoch: epoch, Committed: cur}
-		}
-		return fmt.Errorf("shard: cannot pin epoch %d with retention disabled: %w", epoch, mvcc.ErrEvicted)
-	}
 	vec := make([]uint64, e.p)
 	if err := e.vlog.Pin(epoch, vec); err != nil {
 		return err
@@ -688,9 +603,6 @@ func (e *Engine) PinEpoch(epoch uint64) error {
 func (e *Engine) UnpinEpoch(epoch uint64) {
 	if e.p == 1 {
 		e.shards[0].c.UnpinEpoch(epoch)
-		return
-	}
-	if e.vlog == nil {
 		return
 	}
 	vec := make([]uint64, e.p)
@@ -1042,14 +954,8 @@ func (e *Engine) CheckInvariants() error {
 	if got := e.numEdges.Load(); got != count {
 		return fmt.Errorf("edge counter drift: counted %d, recorded %d", count, got)
 	}
-	if e.vlog != nil {
-		epochs := make([]uint64, e.p)
-		for si, s := range e.shards {
-			epochs[si] = s.c.Epoch()
-		}
-		if err := e.vlog.CheckInvariants(epochs); err != nil {
-			return err
-		}
+	if e.p > 1 {
+		return e.vlog.CheckInvariants(e.shardEpochs())
 	}
 	return nil
 }

@@ -364,8 +364,8 @@ func New(n int, opts ...Option) (*Decomposition, error) {
 	eng := shard.New(n, o.shards, o.params)
 	d := &Decomposition{eng: eng}
 	if o.walDir != "" {
-		// Recovery must precede retention setup: the multi-version logs
-		// initialize from the recovered per-shard epochs.
+		// Recovery restores and replays through the engine's own restore
+		// and commit paths, which keep its epoch bookkeeping in lockstep.
 		m, err := wal.Open(o.walDir, eng, o.walOpts)
 		if err != nil {
 			return nil, fmt.Errorf("kcore: opening WAL: %w", err)
