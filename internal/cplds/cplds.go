@@ -120,7 +120,8 @@ type CPLDS struct {
 	// collecting many vertices can only certify "all my values are from one
 	// batch boundary" if no unmark phase started, ran, or ended during its
 	// collection. An even, unchanged commitSeq across the collection
-	// certifies exactly that (see ReadManyPinned).
+	// certifies exactly that; CutBegin/CutEnd is the one protocol that
+	// reads it.
 	commitSeq atomic.Uint64
 
 	// Batch-scoped state (owned by the updater between BatchStart/BatchEnd).
@@ -142,7 +143,8 @@ type CPLDS struct {
 
 	// gate implements the SyncReads baseline: the updater write-locks it
 	// for the duration of each batch, so ReadSync blocks until the batch
-	// completes (exactly the paper's synchronous baseline).
+	// completes (exactly the paper's synchronous baseline). The gated
+	// attempt of a committed-cut read (CutBegin) read-locks it too.
 	gate sync.RWMutex
 
 	// delta is this batch's commit delta, reused across batches: BatchEnd
@@ -537,12 +539,12 @@ func (c *CPLDS) ReadSync(v uint32) float64 {
 
 // --- epoch-pinned reads (consistent multi-vertex cuts) ---
 
-// pinnedAttempts bounds the optimistic retries of a pinned multi-read
-// before it degrades to the blocking gate path. Each failed attempt implies
-// a batch committed during the collection, so in the common regime (batches
-// are orders of magnitude longer than reads) the first attempt succeeds;
-// the bound only matters for pathological scan-length/batch-length ratios,
-// where unbounded optimism could livelock.
+// pinnedAttempts bounds the optimistic attempts of a committed-cut read
+// (CutBegin/CutEnd) before it degrades to the blocking gated attempt. Each
+// failed attempt implies a batch committed during the collection, so in the
+// common regime (batches are orders of magnitude longer than reads) the
+// first attempt succeeds; the bound only matters for pathological
+// scan-length/batch-length ratios, where unbounded optimism could livelock.
 const pinnedAttempts = 8
 
 // Epoch returns the number of committed update batches. Values returned by
@@ -550,99 +552,88 @@ const pinnedAttempts = 8
 // these epochs' boundaries.
 func (c *CPLDS) Epoch() uint64 { return c.commitSeq.Load() >> 1 }
 
-// CommitSeq exposes the raw commit sequence (2*epoch, or odd during a
-// commit's unmark phase). Intended for multi-engine coordinators (the
-// sharded engine validates a vector of these around its cross-shard pinned
-// reads).
-func (c *CPLDS) CommitSeq() uint64 { return c.commitSeq.Load() }
-
-// GateRLock acquires the batch gate in read mode: while held, no batch can
-// start or commit, so live levels are a frozen committed cut. It is the
-// blocking fallback used by pinned multi-reads (and the building block for
-// cross-shard coordinators); pair with GateRUnlock.
-func (c *CPLDS) GateRLock() { c.gate.RLock() }
-
-// GateRUnlock releases the batch gate taken by GateRLock.
-func (c *CPLDS) GateRUnlock() { c.gate.RUnlock() }
-
-// ReadPinned returns v's linearizable coreness estimate together with the
-// epoch whose boundary state the value belongs to.
-func (c *CPLDS) ReadPinned(v uint32) (float64, uint64) {
-	for attempt := 0; attempt < pinnedAttempts; attempt++ {
-		s1 := c.commitSeq.Load()
-		if s1&1 != 0 {
-			continue // an unmark phase is in flight; visibility is mixed
-		}
-		est := c.Read(v)
-		if c.commitSeq.Load() == s1 {
-			return est, s1 >> 1
-		}
+// CutBegin opens attempt number attempt (counting from 0) of a
+// committed-cut read: a collection of linearizable values (ReadLevel, Read)
+// that CutEnd then certifies as one batch boundary. It returns the commit
+// sequence to validate against — the cut's epoch is seq/2 — and ok = false
+// while an unmark phase is in flight, in which case the attempt is spent and
+// CutEnd must not be called. The caller loops:
+//
+//	for attempt := 0; ; attempt++ {
+//		seq, ok := c.CutBegin(attempt)
+//		if !ok {
+//			continue
+//		}
+//		collect()
+//		if c.CutEnd(attempt, seq) {
+//			return seq >> 1
+//		}
+//	}
+//
+// Attempts before pinnedAttempts are optimistic and read-only: mid-batch
+// every linearizable read returns the pre-batch (last committed) value, so
+// an even commit sequence unchanged across the collection proves every
+// value is the state at epoch seq/2. A failed validation means a batch
+// committed meanwhile — update progress, as in the paper's lock-freedom
+// argument. Attempt pinnedAttempts is the gated one: CutBegin takes the
+// batch gate in read mode, so no batch can start or commit until CutEnd
+// releases it and reports true. The collection runs unchanged under the
+// gate: BatchEnd clears every descriptor before releasing the gate, so
+// ReadLevel returns the settled level on its first pass.
+func (c *CPLDS) CutBegin(attempt int) (seq uint64, ok bool) {
+	if attempt >= pinnedAttempts {
+		c.gate.RLock() // no batch holds the gate, so seq is even
 	}
-	c.gate.RLock()
-	est := c.S.EstimateFromLevel(c.P.Level(v))
-	epoch := c.commitSeq.Load() >> 1
-	c.gate.RUnlock()
-	return est, epoch
+	seq = c.commitSeq.Load()
+	return seq, seq&1 == 0
+}
+
+// CutEnd closes the attempt CutBegin opened and reports whether the values
+// collected since belong to the batch boundary seq/2. The gated attempt
+// always succeeds and releases the gate.
+func (c *CPLDS) CutEnd(attempt int, seq uint64) bool {
+	if attempt >= pinnedAttempts {
+		c.gate.RUnlock()
+		return true
+	}
+	return c.commitSeq.Load() == seq
 }
 
 // ReadManyPinned fills out[i] with the coreness estimate of vs[i] such that
 // every value belongs to one batch boundary — the returned epoch — rather
-// than a torn mix of boundaries. len(out) must equal len(vs).
-//
-// The protocol is optimistic and read-only: collect all values with the
-// linearizable single-vertex protocol, and validate that the commit
-// sequence was even and unchanged across the whole collection. Mid-batch
-// every single-vertex read returns the pre-batch (last committed) value, so
-// an unchanged even commitSeq proves all values are the state at epoch
-// commitSeq/2. A failed validation means a batch committed meanwhile —
-// update progress, as in the paper's lock-freedom argument — and the
-// collection restarts; after pinnedAttempts failures it falls back to a
-// bounded blocking read under the batch gate (SyncReads-style latency).
+// than a torn mix of boundaries. len(out) must equal len(vs). Lock-free in
+// the common regime; see CutBegin for the protocol.
 func (c *CPLDS) ReadManyPinned(vs []uint32, out []float64) uint64 {
-	for attempt := 0; attempt < pinnedAttempts; attempt++ {
-		s1 := c.commitSeq.Load()
-		if s1&1 != 0 {
+	for attempt := 0; ; attempt++ {
+		seq, ok := c.CutBegin(attempt)
+		if !ok {
 			continue
 		}
 		for i, v := range vs {
 			out[i] = c.S.EstimateFromLevel(c.ReadLevel(v))
 		}
-		if c.commitSeq.Load() == s1 {
-			return s1 >> 1
+		if c.CutEnd(attempt, seq) {
+			return seq >> 1
 		}
 	}
-	c.gate.RLock()
-	for i, v := range vs {
-		out[i] = c.S.EstimateFromLevel(c.P.Level(v))
-	}
-	epoch := c.commitSeq.Load() >> 1
-	c.gate.RUnlock()
-	return epoch
 }
 
 // ReadAllPinned fills out[v] with the coreness estimate of every vertex v,
 // all from the single batch boundary it returns. len(out) must be
 // NumVertices().
 func (c *CPLDS) ReadAllPinned(out []float64) uint64 {
-	for attempt := 0; attempt < pinnedAttempts; attempt++ {
-		s1 := c.commitSeq.Load()
-		if s1&1 != 0 {
+	for attempt := 0; ; attempt++ {
+		seq, ok := c.CutBegin(attempt)
+		if !ok {
 			continue
 		}
 		for v := range out {
 			out[v] = c.S.EstimateFromLevel(c.ReadLevel(uint32(v)))
 		}
-		if c.commitSeq.Load() == s1 {
-			return s1 >> 1
+		if c.CutEnd(attempt, seq) {
+			return seq >> 1
 		}
 	}
-	c.gate.RLock()
-	for v := range out {
-		out[v] = c.S.EstimateFromLevel(c.P.Level(uint32(v)))
-	}
-	epoch := c.commitSeq.Load() >> 1
-	c.gate.RUnlock()
-	return epoch
 }
 
 // --- retained (multi-version) reads ---
@@ -723,39 +714,14 @@ func (c *CPLDS) UnpinEpoch(epoch uint64) {
 	}
 }
 
-// collectLevelsAt runs collect — which must gather linearizable levels —
-// against a validated committed cut and returns that cut's epoch, or a
-// future-epoch error if the requested epoch has not committed. After
-// pinnedAttempts failed validations it falls back to collectQuiescent
-// under the batch gate (same degradation as the pinned multi-reads).
-func (c *CPLDS) collectLevelsAt(epoch uint64, collect, collectQuiescent func()) (uint64, error) {
-	for attempt := 0; attempt < pinnedAttempts; attempt++ {
-		s1 := c.commitSeq.Load()
-		if s1&1 != 0 {
-			continue
-		}
-		if epoch > s1>>1 {
-			return 0, &mvcc.FutureEpochError{Epoch: epoch, Committed: s1 >> 1}
-		}
-		collect()
-		if c.commitSeq.Load() == s1 {
-			return s1 >> 1, nil
-		}
-	}
-	c.gate.RLock()
-	defer c.gate.RUnlock()
-	cur := c.commitSeq.Load() >> 1
-	if epoch > cur {
-		return 0, &mvcc.FutureEpochError{Epoch: epoch, Committed: cur}
-	}
-	collectQuiescent()
-	return cur, nil
-}
-
 // rewind converts collected live levels (a validated cut at epoch cur)
-// into estimates at the requested retired epoch by overlaying the
-// retained deltas. vs == nil means levels is indexed by vertex id.
+// into estimates at the requested committed epoch by overlaying the
+// retained deltas, or fails with the typed future/evicted error. vs == nil
+// means levels is indexed by vertex id.
 func (c *CPLDS) rewind(epoch, cur uint64, vs []uint32, levels []int32, out []float64) error {
+	if epoch > cur {
+		return &mvcc.FutureEpochError{Epoch: epoch, Committed: cur}
+	}
 	if epoch < cur {
 		if c.store == nil {
 			return &mvcc.EvictedEpochError{Epoch: epoch, OldestReadable: cur}
@@ -783,42 +749,36 @@ func (c *CPLDS) rewind(epoch, cur uint64, vs []uint32, levels []int32, out []flo
 // given epoch, so repeated reads at a pinned epoch are byte-identical.
 func (c *CPLDS) ReadManyAt(vs []uint32, out []float64, epoch uint64) error {
 	levels := make([]int32, len(vs))
-	cur, err := c.collectLevelsAt(epoch,
-		func() {
-			for i, v := range vs {
-				levels[i] = c.ReadLevel(v)
-			}
-		},
-		func() {
-			for i, v := range vs {
-				levels[i] = c.P.Level(v)
-			}
-		})
-	if err != nil {
-		return err
+	for attempt := 0; ; attempt++ {
+		seq, ok := c.CutBegin(attempt)
+		if !ok {
+			continue
+		}
+		for i, v := range vs {
+			levels[i] = c.ReadLevel(v)
+		}
+		if c.CutEnd(attempt, seq) {
+			return c.rewind(epoch, seq>>1, vs, levels, out)
+		}
 	}
-	return c.rewind(epoch, cur, vs, levels, out)
 }
 
 // ReadAllAt fills out[v] with every vertex's coreness estimate at the
 // given committed epoch (see ReadManyAt). len(out) must be NumVertices().
 func (c *CPLDS) ReadAllAt(out []float64, epoch uint64) error {
 	levels := make([]int32, len(out))
-	cur, err := c.collectLevelsAt(epoch,
-		func() {
-			for v := range levels {
-				levels[v] = c.ReadLevel(uint32(v))
-			}
-		},
-		func() {
-			for v := range levels {
-				levels[v] = c.P.Level(uint32(v))
-			}
-		})
-	if err != nil {
-		return err
+	for attempt := 0; ; attempt++ {
+		seq, ok := c.CutBegin(attempt)
+		if !ok {
+			continue
+		}
+		for v := range levels {
+			levels[v] = c.ReadLevel(uint32(v))
+		}
+		if c.CutEnd(attempt, seq) {
+			return c.rewind(epoch, seq>>1, nil, levels, out)
+		}
 	}
-	return c.rewind(epoch, cur, nil, levels, out)
 }
 
 // Levels fills out[v] with every vertex's current level. Quiescent use
@@ -844,11 +804,11 @@ func (c *CPLDS) Levels(out []int32) {
 // quiesce), but concurrent *readers* are safe: the restore runs under the
 // batch gate with the commit sequence held odd, exactly the visibility
 // protocol of a batch's unmark phase, so a pinned multi-vertex read that
-// overlaps the restore fails its sequence validation and retries (or
-// falls back to the gate and blocks), and a single-vertex read retries on
-// the batch-number change. Restored epochs must be >= the current epoch
-// (replication only moves forward), keeping the retry arithmetic
-// monotone.
+// overlaps the restore fails its sequence validation and retries (its
+// gated attempt blocks until the restore ends), and a single-vertex read
+// retries on the batch-number change. Restored epochs must be >= the
+// current epoch (replication only moves forward), keeping the retry
+// arithmetic monotone.
 func (c *CPLDS) Restore(csr *graph.CSR, levels []int32, epoch uint64) error {
 	n := c.NumVertices()
 	if csr.NumVertices() != n {

@@ -368,10 +368,12 @@ func TestNoNewOldInversion(t *testing.T) {
 func TestConcurrentReadersManyBatches(t *testing.T) {
 	// End-to-end stress under the race detector: continuous linearizable,
 	// sync and non-sync readers against a stream of insert and delete
-	// batches; afterwards the structure must be unmarked, invariant-clean,
-	// and reads must agree with live levels.
+	// batches; every batch's marked DAG must be valid before its unmark,
+	// and afterwards the structure must be unmarked, invariant-clean, and
+	// reads must agree with live levels.
 	const n = 500
 	c := newC(n)
+	checkDAGAtUnmark(t, c, nil)
 	edges := gen.ChungLu(n, 4000, 2.3, 87)
 	us := gen.NewUpdateStream(edges, n, 0.25, 400, 88)
 	c.InsertBatch(us.Base)

@@ -67,6 +67,20 @@ func checkMarkedDAG(c *CPLDS) error {
 	return checkParentChains(c, marked)
 }
 
+// checkDAGAtUnmark installs checkMarkedDAG as c's beforeUnmark hook, so
+// each batch's final marked DAG is checked before the unmark passes, and
+// then calls then, if non-nil, with the hook's arguments.
+func checkDAGAtUnmark(t testing.TB, c *CPLDS, then func(plds.Kind, []uint32)) {
+	c.beforeUnmark = func(kind plds.Kind, marked []uint32) {
+		if err := checkMarkedDAG(c); err != nil {
+			t.Errorf("batch %d: %v", c.stamp, err)
+		}
+		if then != nil {
+			then(kind, marked)
+		}
+	}
+}
+
 // TestCheckDAGCompressionAfterRelink drives the reader-side compression in
 // checkDAG, which CASes the entry descriptor's parent to the root it
 // observed, against the relinks concurrent unions make. Worker-free and

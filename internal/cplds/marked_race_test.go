@@ -38,7 +38,7 @@ func TestConcurrentMarkingLargeCascade(t *testing.T) {
 	}
 
 	var markedSeen int
-	c.beforeUnmark = func(kind plds.Kind, marked []uint32) {
+	checkDAGAtUnmark(t, c, func(kind plds.Kind, marked []uint32) {
 		markedSeen = len(marked)
 		// Every marked vertex must occupy exactly one arena slot.
 		seen := make(map[uint32]bool, len(marked))
@@ -51,7 +51,7 @@ func TestConcurrentMarkingLargeCascade(t *testing.T) {
 				t.Errorf("marked vertex %d has nil descriptor", v)
 			}
 		}
-	}
+	})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -124,7 +124,7 @@ func TestDAGsMatchStepwiseSweep(t *testing.T) {
 	ring = append(ring, ring...)
 	c := newC(n)
 	var got map[uint32]uint32
-	c.beforeUnmark = func(kind plds.Kind, marked []uint32) {
+	checkDAGAtUnmark(t, c, func(kind plds.Kind, marked []uint32) {
 		if kind != plds.Insert {
 			return
 		}
@@ -136,7 +136,7 @@ func TestDAGsMatchStepwiseSweep(t *testing.T) {
 			}
 			got[v] = r
 		}
-	}
+	})
 	level := make([]int32, n)
 	insert := func(batch []graph.Edge) {
 		t.Helper()

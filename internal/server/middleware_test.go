@@ -51,7 +51,12 @@ func TestStructuredErrorBodies(t *testing.T) {
 		{"unknown mode", "GET", "/coreness?v=0&mode=psychic", "", http.StatusBadRequest, codeBadRequest},
 		{"mode with epoch", "GET", "/coreness?v=0&mode=nonsync&epoch=1", "", http.StatusBadRequest, codeBadRequest},
 		{"future epoch", "GET", "/coreness?v=0&epoch=999999", "", http.StatusNotFound, codeFuture},
+		{"bad min_epoch", "GET", "/coreness?v=0&min_epoch=x", "", http.StatusBadRequest, codeBadRequest},
 		{"bad k", "GET", "/top?k=0", "", http.StatusBadRequest, codeBadRequest},
+		{"top bad epoch", "GET", "/top?k=1&epoch=x", "", http.StatusBadRequest, codeBadRequest},
+		{"top future epoch", "GET", "/top?k=1&epoch=999999", "", http.StatusNotFound, codeFuture},
+		{"top bad min_epoch", "GET", "/top?k=1&min_epoch=x", "", http.StatusBadRequest, codeBadRequest},
+		{"bulk future epoch", "POST", "/coreness/bulk", `{"vertices":[0],"epoch":999999}`, http.StatusNotFound, codeFuture},
 		{"bad bulk JSON", "POST", "/coreness/bulk", "{nope", http.StatusBadRequest, codeBadRequest},
 		{"empty bulk", "POST", "/coreness/bulk", `{"vertices":[]}`, http.StatusBadRequest, codeBadRequest},
 		{"bulk vertex range", "POST", "/coreness/bulk", `{"vertices":[12345]}`, http.StatusBadRequest, codeBadRequest},
@@ -78,6 +83,29 @@ func TestStructuredErrorBodies(t *testing.T) {
 			}
 			if e.Error == "" {
 				t.Fatal("empty error message")
+			}
+		})
+	}
+}
+
+// TestFloorWaitAfterValidation: a read handler validates the whole request
+// before it waits on the min_epoch floor, so a malformed request is
+// answered 400 at once rather than 412 after the whole wait.
+func TestFloorWaitAfterValidation(t *testing.T) {
+	_, ts := newTestService(t, WithMinEpochWait(0))
+	for _, path := range []string{
+		"/coreness?v=0&min_epoch=1000&mode=nonsync&epoch=1",
+		"/coreness?v=0&min_epoch=1000&epoch=x",
+		"/coreness?v=0&min_epoch=1000&mode=psychic",
+		"/top?k=1&min_epoch=1000&epoch=x",
+	} {
+		t.Run(path, func(t *testing.T) {
+			resp := get(t, ts.URL+path)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400", resp.StatusCode)
+			}
+			if e := decodeError(t, resp); e.Code != codeBadRequest {
+				t.Fatalf("code %q, want %q (error %q)", e.Code, codeBadRequest, e.Error)
 			}
 		})
 	}

@@ -399,34 +399,27 @@ func writeEpochError(w http.ResponseWriter, err error) {
 	}
 }
 
-// epochParam extracts the optional requested epoch from the query string,
-// answering 400 itself on a malformed value (bad reports that case).
-func epochParam(w http.ResponseWriter, r *http.Request) (epoch uint64, present, bad bool) {
-	raw := r.URL.Query().Get("epoch")
+// uintParam extracts the optional unsigned query parameter name (nil when
+// absent), answering 400 itself on a malformed value (ok reports false).
+func uintParam(w http.ResponseWriter, r *http.Request, name string) (val *uint64, ok bool) {
+	raw := r.URL.Query().Get(name)
 	if raw == "" {
-		return 0, false, false
+		return nil, true
 	}
-	epoch, err := strconv.ParseUint(raw, 10, 64)
+	v, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad epoch")
-		return 0, true, true
+		writeError(w, http.StatusBadRequest, codeBadRequest, "bad "+name)
+		return nil, false
 	}
-	return epoch, true, false
+	return &v, true
 }
 
-// minEpochParam extracts the optional epoch floor from the query string,
-// answering 400 itself on a malformed value (bad reports that case).
-func minEpochParam(w http.ResponseWriter, r *http.Request) (floor uint64, bad bool) {
-	raw := r.URL.Query().Get("min_epoch")
-	if raw == "" {
-		return 0, false
+// orZero returns *p, or 0 for an absent (nil) epoch floor.
+func orZero(p *uint64) uint64 {
+	if p == nil {
+		return 0
 	}
-	floor, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad min_epoch")
-		return 0, true
-	}
-	return floor, false
+	return *p
 }
 
 // epochBehindResponse is the structured 412 body of an epoch-floor read
@@ -508,15 +501,27 @@ func retryAfterSeconds(floor, startEpoch, nowEpoch uint64, waited, budget time.D
 	return strconv.FormatInt(secs, 10)
 }
 
-// serveAt runs read through a view fixed at the requested epoch and pinned
-// for the duration, so a response that starts serving cannot be torn by
-// concurrent eviction; on failure it writes the mapped HTTP error and
-// reports false. When ViewAt succeeds but Pin fails with ErrEpochEvicted —
-// retention disabled, where only the current epoch is servable — the read
-// proceeds unpinned: fixed-view reads re-validate, and View.Err reports
-// the typed error if a commit overtook them.
-func (s *Server) serveAt(w http.ResponseWriter, epoch uint64, read func(*kcore.View)) bool {
-	view, err := s.d.ViewAt(epoch)
+// serveCut is every linearizable read handler's one path to a committed
+// cut. It waits for the epoch floor (see awaitEpochFloor), then runs read
+// through a view: one fixed at the requested epoch and pinned for the
+// duration when epoch is non-nil, so a response that starts serving cannot
+// be torn by concurrent eviction; otherwise a floating view over the
+// latest committed cut. It returns the epoch served, or writes the mapped
+// HTTP error and reports false. When ViewAt succeeds but Pin fails with
+// ErrEpochEvicted — retention disabled, where only the current epoch is
+// servable — the read proceeds unpinned: fixed-view reads re-validate, and
+// View.Err reports the typed error if a commit overtook them. Callers
+// validate the whole request first, so a malformed one never waits.
+func (s *Server) serveCut(w http.ResponseWriter, r *http.Request, floor uint64, epoch *uint64, read func(*kcore.View)) (uint64, bool) {
+	if !s.awaitEpochFloor(w, r, floor) {
+		return 0, false
+	}
+	if epoch == nil {
+		view := s.d.View()
+		read(view)
+		return view.Epoch(), true
+	}
+	view, err := s.d.ViewAt(*epoch)
 	if err == nil {
 		if err = view.Pin(); err == nil || errors.Is(err, kcore.ErrEpochEvicted) {
 			defer view.Release() // no-op when unpinned
@@ -526,9 +531,9 @@ func (s *Server) serveAt(w http.ResponseWriter, epoch uint64, read func(*kcore.V
 	}
 	if err != nil {
 		writeEpochError(w, err)
-		return false
+		return 0, false
 	}
-	return true
+	return *epoch, true
 }
 
 func (s *Server) handleCoreness(w http.ResponseWriter, r *http.Request) {
@@ -538,42 +543,40 @@ func (s *Server) handleCoreness(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := uint32(v64)
-	if floor, bad := minEpochParam(w, r); bad {
+	floor, ok := uintParam(w, r, "min_epoch")
+	if !ok {
 		return
-	} else if !s.awaitEpochFloor(w, r, floor) {
+	}
+	at, ok := uintParam(w, r, "epoch")
+	if !ok {
 		return
 	}
 	mode := r.URL.Query().Get("mode")
-	if epoch, ok, bad := epochParam(w, r); ok {
-		if bad {
-			return
-		}
-		if mode != "" && mode != "linearizable" {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "mode is incompatible with a requested epoch")
-			return
-		}
-		var est float64
-		if !s.serveAt(w, epoch, func(view *kcore.View) { est = view.Coreness(v) }) {
-			return
-		}
-		s.reads.Add(1)
-		writeJSON(w, corenessResponse{Vertex: v, Coreness: est, Mode: "retained", Batch: s.d.BatchNumber(), Epoch: epoch})
+	if at != nil && mode != "" && mode != "linearizable" {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "mode is incompatible with a requested epoch")
 		return
-	}
-	if mode == "" {
-		mode = "linearizable"
 	}
 	var est float64
 	var epoch uint64
 	switch mode {
-	case "linearizable":
-		view := s.d.View()
-		est = view.Coreness(v)
-		epoch = view.Epoch()
-	case "nonsync":
-		est, epoch = s.d.CorenessNonLinearizable(v), s.d.Epoch()
-	case "blocking":
-		est, epoch = s.d.CorenessBlocking(v), s.d.Epoch()
+	case "", "linearizable":
+		mode = "linearizable"
+		if at != nil {
+			mode = "retained"
+		}
+		if epoch, ok = s.serveCut(w, r, orZero(floor), at, func(view *kcore.View) { est = view.Coreness(v) }); !ok {
+			return
+		}
+	case "nonsync", "blocking":
+		if !s.awaitEpochFloor(w, r, orZero(floor)) {
+			return
+		}
+		if mode == "nonsync" {
+			est = s.d.CorenessNonLinearizable(v)
+		} else {
+			est = s.d.CorenessBlocking(v)
+		}
+		epoch = s.d.Epoch()
 	default:
 		writeError(w, http.StatusBadRequest, codeBadRequest, "unknown mode (want linearizable, nonsync or blocking)")
 		return
@@ -635,18 +638,10 @@ func (s *Server) handleCorenessBulk(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.MinEpoch != nil && !s.awaitEpochFloor(w, r, *req.MinEpoch) {
-		return
-	}
 	out := make([]float64, len(req.Vertices))
-	var epoch uint64
-	if req.Epoch != nil {
-		epoch = *req.Epoch
-		if !s.serveAt(w, epoch, func(view *kcore.View) { view.CorenessManyInto(req.Vertices, out) }) {
-			return
-		}
-	} else {
-		epoch = s.d.View().CorenessManyInto(req.Vertices, out)
+	epoch, ok := s.serveCut(w, r, orZero(req.MinEpoch), req.Epoch, func(view *kcore.View) { view.CorenessManyInto(req.Vertices, out) })
+	if !ok {
+		return
 	}
 	s.reads.Add(int64(len(req.Vertices)))
 	writeJSON(w, bulkResponse{Vertices: req.Vertices, Coreness: out, Epoch: epoch})
@@ -666,25 +661,18 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "bad k")
 		return
 	}
-	if floor, bad := minEpochParam(w, r); bad {
+	floor, ok := uintParam(w, r, "min_epoch")
+	if !ok {
 		return
-	} else if !s.awaitEpochFloor(w, r, floor) {
+	}
+	at, ok := uintParam(w, r, "epoch")
+	if !ok {
 		return
 	}
 	var top []uint32
-	var epoch uint64
-	if e, ok, bad := epochParam(w, r); ok {
-		if bad {
-			return
-		}
-		epoch = e
-		if !s.serveAt(w, epoch, func(view *kcore.View) { top = view.TopK(k) }) {
-			return
-		}
-	} else {
-		view := s.d.View()
-		top = view.TopK(k)
-		epoch = view.Epoch()
+	epoch, ok := s.serveCut(w, r, orZero(floor), at, func(view *kcore.View) { top = view.TopK(k) })
+	if !ok {
+		return
 	}
 	s.reads.Add(int64(s.d.NumVertices()))
 	writeJSON(w, topResponse{K: k, Vertices: top, Epoch: epoch})

@@ -228,9 +228,8 @@ func (e *Engine) Batches() uint64 {
 // imply equal vectors, i.e. the identical committed state. A bare Epoch()
 // call, by contrast, reads the components at staggered instants; it is the
 // right tool for stats and for pinning a fresh View, but only epochs
-// returned by ReadPinned/ReadManyPinned/ReadAllPinned carry the
-// same-epoch-same-state guarantee. Safe to call at any time; one atomic
-// load per shard.
+// returned by ReadManyPinned/ReadAllPinned carry the same-epoch-same-state
+// guarantee. Safe to call at any time; one atomic load per shard.
 func (e *Engine) Epoch() uint64 {
 	var sum uint64
 	for _, s := range e.shards {
@@ -267,107 +266,42 @@ func (e *Engine) ReadSync(v uint32) float64 { return e.shards[e.ShardOf(v)].c.Re
 
 // --- epoch-pinned reads (consistent cross-shard cuts) ---
 
-// pinnedAttempts bounds the optimistic retries of a cross-shard pinned
-// multi-read before it degrades to the blocking all-gates path; see the
-// CPLDS constant of the same name.
-const pinnedAttempts = 8
-
-// ReadPinned returns v's linearizable estimate together with the global
-// epoch of a committed cut the value belongs to. Lock-free in the common
-// case; safe concurrently with updates.
-func (e *Engine) ReadPinned(v uint32) (float64, uint64) {
-	if e.p == 1 {
-		return e.shards[0].c.ReadPinned(v)
-	}
-	sc := e.shards[e.ShardOf(v)].c
-	for attempt := 0; attempt < pinnedAttempts; attempt++ {
-		s1 := sc.CommitSeq()
-		if s1&1 != 0 {
-			continue
-		}
-		est := sc.Read(v)
-		// Read the other shards' committed epochs BEFORE re-validating the
-		// owning shard's sequence, so every component load falls inside the
-		// window where the owning component is provably stable. The commit
-		// history's cuts with this sum then all carry the owning component
-		// at s1/2 (the history's cuts inside the window bracket the label,
-		// and none of them bumps the owning shard), so the label is
-		// consistent with the value: a pinned multi-read reporting the same
-		// epoch serves the same value for v.
-		epoch := s1 >> 1
-		for _, s := range e.shards {
-			if s.c != sc {
-				epoch += s.c.Epoch()
-			}
-		}
-		if sc.CommitSeq() != s1 {
-			continue
-		}
-		return est, epoch
-	}
-	// Blocking fallback: hold every shard's batch gate in read mode so no
-	// commit can move, and read value and epoch from the frozen cut.
-	// (Summing unpinned components after a shard-local pinned read would
-	// not do: the owning shard could commit again before the other
-	// components are read, mislabeling the value's cut.)
-	for _, s := range e.shards {
-		s.c.GateRLock()
-	}
-	est := sc.ReadNonSync(v)
-	epoch := e.Epoch()
-	for _, s := range e.shards {
-		s.c.GateRUnlock()
-	}
-	return est, epoch
-}
-
 // readPinned runs collect against a validated cross-shard cut and returns
-// the cut's global epoch. Optimistic protocol: record every shard's commit
-// sequence (retrying while any unmark phase is in flight), collect, and
-// validate that no sequence changed; a failed validation implies a batch
-// committed somewhere — update progress — and the collection restarts.
-// After pinnedAttempts failures it falls back to holding every shard's
-// batch gate in read mode, which blocks all commits (and only commits:
-// writers never hold one gate while waiting for another, so the staggered
-// acquisition cannot deadlock) and collects from the frozen cut via
-// collectQuiescent.
-func (e *Engine) readPinned(collect, collectQuiescent func()) uint64 {
-	seqs := make([]uint64, e.p)
-	for attempt := 0; attempt < pinnedAttempts; attempt++ {
+// the cut's global epoch: each attempt opens every shard's committed-cut
+// read (cplds.CutBegin) in index order, collects once, and closes them all
+// (CutEnd); it succeeds when every shard validates. A failed validation
+// implies a batch committed somewhere — update progress — and the
+// collection restarts. The last attempt holds every shard's batch gate in
+// read mode, taken in index order, which blocks all commits (and only
+// commits: writers never hold one gate while waiting for another, so the
+// staggered acquisition cannot deadlock).
+func (e *Engine) readPinned(collect func()) uint64 {
+	var stack [4]uint64 // up to four shards read without allocating
+	seqs := stack[:]
+	if e.p > len(stack) {
+		seqs = make([]uint64, e.p)
+	}
+	for attempt := 0; ; attempt++ {
 		var epoch uint64
-		stable := true
+		open := true
 		for i, s := range e.shards {
-			q := s.c.CommitSeq()
-			if q&1 != 0 {
-				stable = false
-				break
+			if seqs[i], open = s.c.CutBegin(attempt); !open {
+				break // an unmark phase is in flight; no gate is held
 			}
-			seqs[i] = q
-			epoch += q >> 1
+			epoch += seqs[i] >> 1
 		}
-		if !stable {
+		if !open {
 			continue
 		}
 		collect()
+		stable := true
 		for i, s := range e.shards {
-			if s.c.CommitSeq() != seqs[i] {
-				stable = false
-				break
-			}
+			stable = s.c.CutEnd(attempt, seqs[i]) && stable
 		}
 		if stable {
 			return epoch
 		}
 	}
-	for _, s := range e.shards {
-		s.c.GateRLock()
-	}
-	collectQuiescent()
-	epoch := e.Epoch()
-	for _, s := range e.shards {
-		s.c.GateRUnlock()
-	}
-	return epoch
 }
 
 // ReadManyPinned fills out[i] with the linearizable estimate of vs[i] such
@@ -378,17 +312,11 @@ func (e *Engine) ReadManyPinned(vs []uint32, out []float64) uint64 {
 	if e.p == 1 {
 		return e.shards[0].c.ReadManyPinned(vs, out)
 	}
-	return e.readPinned(
-		func() {
-			for i, v := range vs {
-				out[i] = e.Read(v)
-			}
-		},
-		func() {
-			for i, v := range vs {
-				out[i] = e.ReadNonSync(v) // quiescent under the gates
-			}
-		})
+	return e.readPinned(func() {
+		for i, v := range vs {
+			out[i] = e.Read(v)
+		}
+	})
 }
 
 // ReadAllPinned fills out[v] with every vertex's linearizable estimate from
@@ -398,17 +326,11 @@ func (e *Engine) ReadAllPinned(out []float64) uint64 {
 	if e.p == 1 {
 		return e.shards[0].c.ReadAllPinned(out)
 	}
-	return e.readPinned(
-		func() {
-			for v := range out {
-				out[v] = e.Read(uint32(v))
-			}
-		},
-		func() {
-			for v := range out {
-				out[v] = e.ReadNonSync(uint32(v))
-			}
-		})
+	return e.readPinned(func() {
+		for v := range out {
+			out[v] = e.Read(uint32(v))
+		}
+	})
 }
 
 // --- retained (multi-version) reads across shards ---

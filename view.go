@@ -20,11 +20,12 @@ import (
 // A View operates in one of two modes:
 //
 //   - Floating (from Decomposition.View): each read is served from the
-//     latest committed epoch and re-pins the view to it. The protocol is
-//     optimistic and read-only — collect with the lock-free linearizable
-//     protocol, validate that the engine's commit sequence did not change,
-//     degrade to a bounded blocking read after repeated failures. Reads
-//     never return a cross-batch mix and never block updates.
+//     latest committed epoch and re-pins the view to it, through the
+//     engine's one committed-cut protocol (cplds CutBegin/CutEnd): collect
+//     with the lock-free linearizable protocol, validate that no commit
+//     sequence changed, and after repeated failures run the same collection
+//     once more under the batch gates. Reads never return a cross-batch mix,
+//     and only that last gated attempt ever holds a batch back.
 //
 //   - Fixed (from Decomposition.ViewAt, or after Pin): every read serves
 //     exactly the view's epoch, even after later batches commit, by
@@ -57,7 +58,7 @@ type View struct {
 	pinned bool
 	err    error
 
-	// Scratch for single-vertex fixed reads: spares the per-call id/out
+	// Scratch for single-vertex reads: spares Coreness the per-call id/out
 	// slices (the engine's retained-read path still allocates its own
 	// level scratch internally).
 	oneV   [1]uint32
@@ -139,22 +140,41 @@ func (v *View) fail(err error) {
 	}
 }
 
+// read fills out with the estimates of vs — of every vertex when vs is nil —
+// from one committed cut: the view's fixed epoch, or the latest one,
+// re-pinning a floating view to it. A fixed-read failure is recorded in
+// Err and returned.
+func (v *View) read(vs []uint32, out []float64) error {
+	if !v.fixed {
+		if vs == nil {
+			v.epoch = v.eng.ReadAllPinned(out)
+		} else {
+			v.epoch = v.eng.ReadManyPinned(vs, out)
+		}
+		return nil
+	}
+	var err error
+	if vs == nil {
+		err = v.eng.ReadAllAt(out, v.epoch)
+	} else {
+		err = v.eng.ReadManyAt(vs, out, v.epoch)
+	}
+	if err != nil {
+		v.fail(err)
+	}
+	return err
+}
+
 // Coreness returns the linearizable coreness estimate of u from one
 // committed cut: the view's fixed epoch, or — for a floating view — the
 // latest one, re-pinning the view to it. On a fixed view whose epoch was
 // evicted it returns NaN and records the error in Err.
 func (v *View) Coreness(u uint32) float64 {
-	if v.fixed {
-		v.oneV[0] = u
-		if err := v.eng.ReadManyAt(v.oneV[:], v.oneOut[:], v.epoch); err != nil {
-			v.fail(err)
-			return math.NaN()
-		}
-		return v.oneOut[0]
+	v.oneV[0] = u
+	if v.read(v.oneV[:], v.oneOut[:]) != nil {
+		return math.NaN()
 	}
-	est, epoch := v.eng.ReadPinned(u)
-	v.epoch = epoch
-	return est
+	return v.oneOut[0]
 }
 
 // CorenessMany returns the coreness estimates of us, all served from one
@@ -165,14 +185,9 @@ func (v *View) Coreness(u uint32) float64 {
 // in Err.
 func (v *View) CorenessMany(us []uint32) []float64 {
 	out := make([]float64, len(us))
-	if v.fixed {
-		if err := v.eng.ReadManyAt(us, out, v.epoch); err != nil {
-			v.fail(err)
-			return nil
-		}
-		return out
+	if v.read(us, out) != nil {
+		return nil
 	}
-	v.epoch = v.eng.ReadManyPinned(us, out)
 	return out
 }
 
@@ -181,13 +196,7 @@ func (v *View) CorenessMany(us []uint32) []float64 {
 // returns the epoch served. On a fixed view whose epoch was evicted, out
 // is left unspecified and the error is recorded in Err.
 func (v *View) CorenessManyInto(us []uint32, out []float64) uint64 {
-	if v.fixed {
-		if err := v.eng.ReadManyAt(us, out, v.epoch); err != nil {
-			v.fail(err)
-		}
-		return v.epoch
-	}
-	v.epoch = v.eng.ReadManyPinned(us, out)
+	v.read(us, out)
 	return v.epoch
 }
 
@@ -195,14 +204,9 @@ func (v *View) CorenessManyInto(us []uint32, out []float64) uint64 {
 // a fixed-read failure.
 func (v *View) readAll() []float64 {
 	scores := make([]float64, v.eng.NumVertices())
-	if v.fixed {
-		if err := v.eng.ReadAllAt(scores, v.epoch); err != nil {
-			v.fail(err)
-			return nil
-		}
-		return scores
+	if v.read(nil, scores) != nil {
+		return nil
 	}
-	v.epoch = v.eng.ReadAllPinned(scores)
 	return scores
 }
 

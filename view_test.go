@@ -484,6 +484,26 @@ func BenchmarkViewCorenessMany(b *testing.B) {
 	}
 }
 
+// BenchmarkViewCoreness measures the floating single-vertex read: view
+// creation plus one Coreness on a loaded structure, with one and two
+// shards.
+func BenchmarkViewCoreness(b *testing.B) {
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", p), func(b *testing.B) {
+			d, err := New(10000, WithShards(p))
+			if err != nil {
+				b.Fatal(err)
+			}
+			d.InsertEdges(clique(120))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.View().Coreness(uint32(i % 120))
+			}
+		})
+	}
+}
+
 // BenchmarkViewTopK measures a full epoch-pinned ranking pass.
 func BenchmarkViewTopK(b *testing.B) {
 	d, err := New(10000)
