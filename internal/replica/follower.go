@@ -41,14 +41,6 @@ type FollowerOptions struct {
 	// to complete before giving up (default 30s; negative = do not wait,
 	// the follower syncs in the background).
 	InitialSync time.Duration
-	// MaxApplyBatch bounds how many consecutive already-received records
-	// the follower applies under one engine quiesce, and sizes the queue
-	// between the stream reader and the applier (default 64). A
-	// catching-up follower has records queued ahead of the engine;
-	// paying one quiesce per round instead of one per record closes most
-	// of the apply-throughput gap against the primary. 1 restores the
-	// one-quiesce-per-record behavior.
-	MaxApplyBatch int
 }
 
 func (o FollowerOptions) withDefaults() FollowerOptions {
@@ -66,9 +58,6 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 	}
 	if o.InitialSync == 0 {
 		o.InitialSync = 30 * time.Second
-	}
-	if o.MaxApplyBatch <= 0 {
-		o.MaxApplyBatch = 64
 	}
 	return o
 }
@@ -96,9 +85,8 @@ type FollowerStats struct {
 	BytesApplied   uint64 `json:"bytes_applied"`
 	LagBytes       uint64 `json:"lag_bytes"`
 	RecordsApplied uint64 `json:"records_applied"`
-	// ApplyRounds counts quiesce sections spent applying records; the
-	// records-per-round ratio shows how much catch-up batching helps
-	// (1.0 = in sync, applying record by record).
+	// ApplyRounds equals RecordsApplied: the follower applies each record
+	// under its own quiesce. Kept for /stats compatibility.
 	ApplyRounds uint64 `json:"apply_rounds"`
 	Bootstraps  uint64 `json:"bootstraps"`
 	// Resumes counts reconnects served from the primary's retained ring —
@@ -132,14 +120,12 @@ type Follower struct {
 	// applied is the per-shard commit vector the engine has fully applied
 	// — the resume cursor. nil until the first bootstrap succeeds (a
 	// fresh process has no state worth resuming from); cleared again when
-	// the primary reports the cursor stale. The applier goroutine
-	// advances it after every quiesce round; the reconnect loop reads it
-	// between connections. appliedID is the stream id of the primary
-	// incarnation the cursor's epochs belong to (from the stream header it
-	// bootstrapped under); a resume presents it so a restarted primary —
-	// whose recovered history the epochs may not match — rejects the
-	// cursor instead of splicing a divergent tail.
-	vecMu     sync.Mutex
+	// the primary reports the cursor stale. Only the run goroutine touches
+	// it: stream() presents and advances it, run clears it. appliedID is
+	// the stream id of the primary incarnation the cursor's epochs belong
+	// to (from the stream header it bootstrapped under); a resume presents
+	// it so a restarted primary — whose recovered history the epochs may
+	// not match — rejects the cursor instead of splicing a divergent tail.
 	applied   []uint64
 	appliedID uint64
 
@@ -149,7 +135,6 @@ type Follower struct {
 	bytesRecv  atomic.Uint64
 	bytesAppl  atomic.Uint64
 	records    atomic.Uint64
-	rounds     atomic.Uint64
 	bootstraps atomic.Uint64
 	resumes    atomic.Uint64
 	reconnects atomic.Uint64
@@ -159,33 +144,6 @@ type Follower struct {
 
 	firstSync chan struct{} // closed after the first successful sync
 	syncOnce  sync.Once
-}
-
-// appliedVec returns a copy of the resume cursor and the stream id it was
-// minted under; nil when the follower has never bootstrapped (or was told
-// its cursor is stale).
-func (f *Follower) appliedVec() ([]uint64, uint64) {
-	f.vecMu.Lock()
-	defer f.vecMu.Unlock()
-	if f.applied == nil {
-		return nil, 0
-	}
-	return append([]uint64(nil), f.applied...), f.appliedID
-}
-
-func (f *Follower) setAppliedVec(vec []uint64, id uint64) {
-	f.vecMu.Lock()
-	f.applied, f.appliedID = vec, id
-	f.vecMu.Unlock()
-}
-
-// advanceApplied moves the resume cursor past one applied round.
-func (f *Follower) advanceApplied(batch []queuedRecord) {
-	f.vecMu.Lock()
-	for _, rb := range batch {
-		f.applied[rb.b.Shard] = rb.b.Epoch
-	}
-	f.vecMu.Unlock()
 }
 
 // StartFollower connects eng to the primary at addr (host:port or a full
@@ -255,7 +213,7 @@ func (f *Follower) Stats() FollowerStats {
 		BytesReceived:         f.bytesRecv.Load(),
 		BytesApplied:          f.bytesAppl.Load(),
 		RecordsApplied:        f.records.Load(),
-		ApplyRounds:           f.rounds.Load(),
+		ApplyRounds:           f.records.Load(),
 		Bootstraps:            f.bootstraps.Load(),
 		Resumes:               f.resumes.Load(),
 		Reconnects:            f.reconnects.Load(),
@@ -293,14 +251,14 @@ func (f *Follower) run() {
 		if f.ctx.Err() != nil {
 			return
 		}
-		synced, err := f.stream(f.appliedVec())
+		synced, err := f.stream()
 		f.connected.Store(false)
 		f.synced.Store(false)
 		if f.ctx.Err() != nil {
 			return
 		}
 		if errors.Is(err, errResumeStale) {
-			f.setAppliedVec(nil, 0)
+			f.applied, f.appliedID = nil, 0
 			continue
 		}
 		if err != nil {
@@ -323,15 +281,17 @@ func (f *Follower) run() {
 }
 
 // stream runs one connection lifetime: dial, sync (a full bootstrap, or a
-// resume from cursor when one exists), then apply the live tail until the
-// stream breaks, goes silent, or the follower closes. Returns whether the
+// resume from the applied cursor when one exists), then apply the live
+// tail until the stream breaks, goes silent, or the follower closes. Each
+// record is applied as it is read, under its own engine quiesce, and
+// advances the cursor before the next frame is read. Returns whether the
 // sync completed (for backoff reset).
-func (f *Follower) stream(cursor []uint64, cursorID uint64) (synced bool, err error) {
+func (f *Follower) stream() (synced bool, err error) {
 	n, shards := f.eng.NumVertices(), f.eng.NumShards()
-	resuming := cursor != nil
+	resuming := f.applied != nil
 	var req *http.Request
 	if resuming {
-		body := appendResumeRequest(make([]byte, 0, streamHdrLen+8*shards), n, shards, cursorID, cursor)
+		body := appendResumeRequest(make([]byte, 0, streamHdrLen+8*shards), n, shards, f.appliedID, f.applied)
 		req, err = http.NewRequestWithContext(f.ctx, http.MethodPost, f.primary+StreamPath, bytes.NewReader(body))
 	} else {
 		req, err = http.NewRequestWithContext(f.ctx, http.MethodGet, f.primary+StreamPath, nil)
@@ -369,9 +329,7 @@ func (f *Follower) stream(cursor []uint64, cursorID uint64) (synced bool, err er
 
 	// Buffered reads keep frame parsing off raw socket syscalls. Counting
 	// sits on top, so bytesRecv tracks consumed (not merely buffered)
-	// stream bytes and the lag-bytes gauge stays exact. The buffer size
-	// does not bound catch-up batching: round boundaries come from the
-	// drain marker below, not from how many frames fit in one buffer.
+	// stream bytes and the lag-bytes gauge stays exact.
 	br := bufio.NewReaderSize(resp.Body, 256<<10)
 	body := &countingReader{r: br, n: &f.bytesRecv}
 	streamID, err := readStreamHeader(body, n, shards)
@@ -388,46 +346,20 @@ func (f *Follower) stream(cursor []uint64, cursorID uint64) (synced bool, err er
 		seen = make([]bool, shards)
 	}
 	vec := make([]uint64, shards)
-	var buf []byte
-	// Records are applied by a separate goroutine fed through a bounded
-	// queue (started once the sync lands). Decoupling the socket from the
-	// engine quiesce is what makes catch-up batching real: the reader
-	// keeps draining the stream while an apply runs, so a backlog —
-	// wherever it was sitting (kernel buffer, HTTP chunking) — surfaces
-	// as queued records the applier folds into one quiesce per round. It
-	// also keeps the silent-stream watchdog honest during long applies.
-	var applyCh chan queuedRecord
-	var applyWG sync.WaitGroup
-	defer func() {
-		if applyCh != nil {
-			close(applyCh)
-			applyWG.Wait()
-		}
-	}()
-	startApplier := func(avec []uint64) {
-		// Markers interleave with records on the queue, so give them
-		// headroom beyond the records a round can hold.
-		applyCh = make(chan queuedRecord, 2*f.opt.MaxApplyBatch)
-		applyWG.Add(1)
-		go func() {
-			defer applyWG.Done()
-			f.applyLoop(applyCh, avec)
-		}()
+	// markSynced is the bookkeeping both sync frames share. vec holds the
+	// primary's vector at the sync point; the primary epoch is reset to
+	// it, not raised, because a re-bootstrap may land on a shorter
+	// history than the previous connection announced.
+	markSynced := func() {
+		f.primaryEp.Store(vecSum(vec))
+		synced = true
+		f.bytesAppl.Store(f.bytesRecv.Load())
+		f.synced.Store(true)
+		f.lastErr.Store(nil)
+		f.syncOnce.Do(func() { close(f.firstSync) })
 	}
-	pending := 0 // records handed to the applier since the last drain marker
+	var buf []byte
 	for {
-		// Drain marker: the stream has no more buffered bytes, so the
-		// records handed over so far are a complete round — tell the
-		// applier to stop waiting and quiesce. Sent before potentially
-		// blocking on the socket, which is what keeps the applier's
-		// marker wait finite. (A partial frame in the buffer sends no
-		// marker: the rest of the frame is already in flight — the
-		// feeder flushes whole frames — so the wait is transient and the
-		// record joins the round instead of splitting it.)
-		if pending > 0 && br.Buffered() == 0 {
-			applyCh <- queuedRecord{flush: true}
-			pending = 0
-		}
 		typ, payload, rerr := readFrame(body, buf)
 		if rerr != nil {
 			if f.ctx.Err() != nil {
@@ -466,19 +398,11 @@ func (f *Follower) stream(cursor []uint64, cursorID uint64) (synced bool, err er
 			if err := f.eng.RestoreAll(states); err != nil {
 				return synced, fmt.Errorf("replica: applying bootstrap: %w", err)
 			}
-			f.observePrimaryVec(vec)
 			// Free the bootstrap copies; the tail loop does not need them.
 			states, seen = nil, nil
-			synced = true
+			f.applied, f.appliedID = append([]uint64(nil), vec...), streamID
 			f.bootstraps.Add(1)
-			f.setAppliedVec(append([]uint64(nil), vec...), streamID)
-			f.bytesAppl.Store(f.bytesRecv.Load())
-			f.synced.Store(true)
-			f.lastErr.Store(nil)
-			f.syncOnce.Do(func() { close(f.firstSync) })
-			// The applier owns its own copy of the vector from here on;
-			// the reader's copy only tracks heartbeat announcements.
-			startApplier(append(make([]uint64, 0, shards), vec...))
+			markSynced()
 		case frameResumeOK:
 			if !resuming || synced {
 				return synced, errors.New("replica: unexpected resume-ok frame")
@@ -489,14 +413,8 @@ func (f *Follower) stream(cursor []uint64, cursorID uint64) (synced bool, err er
 			if err := parseVector(payload, vec); err != nil {
 				return synced, err
 			}
-			f.observePrimaryVec(vec)
-			synced = true
 			f.resumes.Add(1)
-			f.bytesAppl.Store(f.bytesRecv.Load())
-			f.synced.Store(true)
-			f.lastErr.Store(nil)
-			f.syncOnce.Do(func() { close(f.firstSync) })
-			startApplier(append(make([]uint64, 0, shards), cursor...))
+			markSynced()
 		case frameResumeStale:
 			if !resuming || synced {
 				return synced, errors.New("replica: unexpected resume-stale frame")
@@ -510,13 +428,15 @@ func (f *Follower) stream(cursor []uint64, cursorID uint64) (synced bool, err er
 			if !ok || used != len(payload) {
 				return synced, errors.New("replica: corrupt record frame")
 			}
-			// Hand off to the applier (DecodeRecord copied the edges, so
-			// the frame buffer is free to reuse). A full queue blocks the
-			// reader — the engine is MaxApplyBatch records behind the
-			// socket at most, and beyond that the primary's tail buffer
-			// overruns exactly as before.
-			applyCh <- queuedRecord{b: b, recvd: f.bytesRecv.Load()}
-			pending++
+			// Quiescing keeps the engine's snapshot/invariant surfaces
+			// (which assume no concurrent apply) safe to use on a live
+			// follower.
+			f.eng.Quiesce(func() { f.eng.ApplyLogged(b) })
+			f.applied[b.Shard] = b.Epoch
+			f.observePrimaryVec(f.applied)
+			f.records.Add(1)
+			f.bytesAppl.Store(f.bytesRecv.Load())
+			f.lastRec.Store(time.Now().UnixNano())
 		case frameHeartbeat:
 			if err := parseVector(payload, vec); err != nil {
 				return synced, err
@@ -529,96 +449,21 @@ func (f *Follower) stream(cursor []uint64, cursorID uint64) (synced bool, err er
 	}
 }
 
-// queuedRecord is one decoded record frame in flight between the stream
-// reader and the applier, stamped with the stream bytes consumed up to
-// and including its frame (for the applied-bytes lag gauge) — or, when
-// flush is set, a drain marker: the reader found the stream empty, so the
-// records queued ahead of the marker form a complete round.
-type queuedRecord struct {
-	b     wal.Batch
-	recvd uint64
-	flush bool
-}
-
-// applyLoop applies queued records until the channel closes. Each round
-// folds every record up to the stream's next drain point (bounded by
-// MaxApplyBatch) into a single engine quiesce: the stream goroutine is
-// the only producer, and it sends a drain marker whenever it is about to
-// block on an empty socket, so a round is exactly the backlog — a
-// catching-up follower pays one reader-exclusion per round instead of one
-// per record, while an in-sync follower applies record by record with no
-// waiting (its marker arrives right behind each record). A marker with
-// records already queued behind it is skipped: the backlog has moved past
-// that drain point, keep folding. vec is the applier's private copy of
-// the commit vector, seeded from the sync point.
-func (f *Follower) applyLoop(ch <-chan queuedRecord, vec []uint64) {
-	batch := make([]queuedRecord, 0, f.opt.MaxApplyBatch)
-	for {
-		qr, open := <-ch
-		if !open {
-			return
-		}
-		if qr.flush {
-			continue // stray marker, nothing pending
-		}
-		batch = append(batch[:0], qr)
-	collect:
-		for len(batch) < f.opt.MaxApplyBatch {
-			select {
-			case nqr, ok := <-ch:
-				if !ok {
-					break collect
-				}
-				if nqr.flush {
-					if len(ch) == 0 {
-						break collect
-					}
-					continue // records already queued past this drain point
-				}
-				batch = append(batch, nqr)
-			default:
-				// Queue empty but no drain marker yet: the reader is
-				// still mid-stream, so more of this round is in flight —
-				// wait for it rather than paying a quiesce per fragment.
-				nqr, ok := <-ch
-				if !ok || nqr.flush {
-					break collect
-				}
-				batch = append(batch, nqr)
-			}
-		}
-		// Quiescing keeps the engine's snapshot/invariant surfaces (which
-		// assume no concurrent apply) safe to use on a live follower.
-		f.eng.Quiesce(func() {
-			for _, rb := range batch {
-				f.eng.ApplyLogged(rb.b)
-			}
-		})
-		for _, rb := range batch {
-			vec[rb.b.Shard] = rb.b.Epoch
-		}
-		f.advanceApplied(batch)
-		f.observePrimaryVec(vec)
-		f.records.Add(uint64(len(batch)))
-		f.rounds.Add(1)
-		f.bytesAppl.Store(batch[len(batch)-1].recvd)
-		f.lastRec.Store(time.Now().UnixNano())
+// observePrimaryVec raises the announced primary epoch to vec's sum. Within
+// one connection the primary's history only grows; a new connection resets
+// the value at its sync point (see markSynced).
+func (f *Follower) observePrimaryVec(vec []uint64) {
+	if sum := vecSum(vec); sum > f.primaryEp.Load() {
+		f.primaryEp.Store(sum)
 	}
 }
 
-// observePrimaryVec publishes the newest primary epoch announced on the
-// stream (monotone: reconnects bootstrap at an epoch >= anything seen).
-func (f *Follower) observePrimaryVec(vec []uint64) {
+func vecSum(vec []uint64) uint64 {
 	var sum uint64
 	for _, e := range vec {
 		sum += e
 	}
-	for {
-		old := f.primaryEp.Load()
-		if sum <= old || f.primaryEp.CompareAndSwap(old, sum) {
-			return
-		}
-	}
+	return sum
 }
 
 // countingReader tracks received stream bytes.

@@ -436,11 +436,53 @@ func TestResumeStaleFallsBack(t *testing.T) {
 // follower must be answered stale and re-bootstrap onto the survivor
 // history.
 func TestPrimaryRestartRejectsForeignCursor(t *testing.T) {
-	const n, shards = 120, 1
-	batches := randomBatches(n, 12, 15, 13)
+	batches := randomBatches(restartN, 12, 15, 13)
+	// The recovered primary replayed a shorter history (the tail never
+	// made the disk), sized its ring there, then committed more batches
+	// past the follower's cursor: the cursor's epochs now sit inside the
+	// new ring's window [6-batch epoch, 12-batch epoch], so only the
+	// stream id tells the two histories apart.
+	fol, follower, restarted, feederB := restartPrimary(t, batches[:8], batches[:6], batches[6:])
+	expectParity(t, restarted, follower)
+	st := fol.Stats()
+	if st.Resumes != 0 {
+		t.Fatalf("a cursor from the previous incarnation must not resume, got %+v", st)
+	}
+	if st.Bootstraps != 2 {
+		t.Fatalf("expected a full re-bootstrap after the primary restart, got %+v", st)
+	}
+	if fs := feederB.Stats(); fs.ResumeRejects < 1 {
+		t.Fatalf("restarted feeder should have rejected the foreign cursor, got %+v", fs)
+	}
+}
 
-	primary := newEngine(n, shards)
-	for _, b := range batches[:8] {
+// TestPrimaryRestartShorterHistoryResetsLag pins the announced primary
+// epoch across a re-bootstrap onto a shorter history: the restarted
+// primary recovered 3 of the 8 batches the follower had applied and
+// commits nothing more, so once the follower re-bootstraps it is in sync
+// and must report no lag — the previous incarnation's epochs are gone.
+func TestPrimaryRestartShorterHistoryResetsLag(t *testing.T) {
+	batches := randomBatches(restartN, 8, 15, 13)
+	fol, follower, restarted, _ := restartPrimary(t, batches, batches[:3], nil)
+	expectParity(t, restarted, follower)
+	st := fol.Stats()
+	if st.LagEpochs != 0 || st.PrimaryEpoch != restarted.Epoch() {
+		t.Fatalf("in sync at epoch %d after the re-bootstrap, got primary epoch %d and lag %d (%+v)",
+			restarted.Epoch(), st.PrimaryEpoch, st.LagEpochs, st)
+	}
+}
+
+const restartN = 120
+
+// restartPrimary streams before to a follower, then "crashes" the primary:
+// the listener dies and its in-memory state (the ring, the stream id) is
+// discarded, while the follower keeps its cursor. A restarted primary on
+// the same address replays recovered, opens its feeder, commits after,
+// and the follower re-bootstraps onto it. One shard.
+func restartPrimary(t *testing.T, before, recovered, after [][2][]graph.Edge) (*replica.Follower, *shard.Engine, *shard.Engine, *replica.Feeder) {
+	t.Helper()
+	primary := newEngine(restartN, 1)
+	for _, b := range before {
 		primary.Apply(b[0], b[1])
 	}
 	src := wal.NewTailSource(primary)
@@ -453,32 +495,24 @@ func TestPrimaryRestartRejectsForeignCursor(t *testing.T) {
 	hs := &http.Server{Handler: feederA.Handler()}
 	go hs.Serve(ln)
 
-	follower := newEngine(n, shards)
+	follower := newEngine(restartN, 1)
 	fol, err := replica.StartFollower(follower, addr, fastFollowerOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fol.Close()
+	t.Cleanup(fol.Close)
 
-	// "Crash" the primary: the listener dies and its in-memory state (the
-	// ring, the stream id) is discarded. The follower keeps its cursor at
-	// the 8-batch epoch.
 	hs.Close()
 	src.Close()
 
-	// The recovered primary replayed a shorter history (the tail never
-	// made the disk), sized its ring there, then committed more batches
-	// past the follower's cursor: the cursor's epochs now sit inside the
-	// new ring's window [6-batch epoch, 12-batch epoch], so only the
-	// stream id tells the two histories apart.
-	restarted := newEngine(n, shards)
-	for _, b := range batches[:6] {
+	restarted := newEngine(restartN, 1)
+	for _, b := range recovered {
 		restarted.Apply(b[0], b[1])
 	}
 	src2 := wal.NewTailSource(restarted)
-	defer src2.Close()
+	t.Cleanup(src2.Close)
 	feederB := replica.NewFeeder(src2, replica.FeederOptions{Heartbeat: 10 * time.Millisecond})
-	for _, b := range batches[6:] {
+	for _, b := range after {
 		restarted.Apply(b[0], b[1])
 	}
 	waitFor(t, 5*time.Second, "listener rebind", func() bool {
@@ -491,22 +525,13 @@ func TestPrimaryRestartRejectsForeignCursor(t *testing.T) {
 	})
 	hs2 := &http.Server{Handler: feederB.Handler()}
 	go hs2.Serve(ln)
-	defer hs2.Close()
+	t.Cleanup(func() { hs2.Close() })
 
 	waitFor(t, 10*time.Second, "re-bootstrap onto the restarted primary", func() bool {
-		return fol.Epoch() == restarted.Epoch()
+		st := fol.Stats()
+		return st.Synced && st.Epoch == restarted.Epoch()
 	})
-	expectParity(t, restarted, follower)
-	st := fol.Stats()
-	if st.Resumes != 0 {
-		t.Fatalf("a cursor from the previous incarnation must not resume, got %+v", st)
-	}
-	if st.Bootstraps != 2 {
-		t.Fatalf("expected a full re-bootstrap after the primary restart, got %+v", st)
-	}
-	if fs := feederB.Stats(); fs.ResumeRejects < 1 {
-		t.Fatalf("restarted feeder should have rejected the foreign cursor, got %+v", fs)
-	}
+	return fol, follower, restarted, feederB
 }
 
 func TestStartFollowerRejectsShapeMismatch(t *testing.T) {
@@ -530,88 +555,123 @@ func TestStartFollowerNoPrimary(t *testing.T) {
 	}
 }
 
-// TestCatchupBatchesBufferedRecords pins the catch-up drain: while the
-// follower's apply path is held inside an engine quiesce, the primary
-// commits a burst; once released, the backlog must land in far fewer
-// quiesce rounds than records. A second follower running with
-// MaxApplyBatch 1 consumes the same stream strictly one record per round.
-func TestCatchupBatchesBufferedRecords(t *testing.T) {
+// holdApply parks eng inside an outside Quiesce, so a follower driving it
+// blocks at its next record apply while frames pile up on its socket. The
+// returned func releases the hold and waits for it to end.
+func holdApply(eng *shard.Engine) (release func()) {
+	entered := make(chan struct{})
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		eng.Quiesce(func() { close(entered); <-done })
+	}()
+	<-entered
+	return func() { close(done); wg.Wait() }
+}
+
+// heldApplyOpts keeps the silent-stream watchdog from tearing down a
+// connection whose reader is parked at a held apply.
+func heldApplyOpts() replica.FollowerOptions {
+	opts := fastFollowerOpts()
+	opts.StreamTimeout = 30 * time.Second
+	return opts
+}
+
+// TestCatchupAfterHeldQuiesce pins catch-up from a backlog: while the
+// follower's apply is held inside an engine quiesce, the primary commits
+// a burst; once released, the follower applies every buffered record
+// exactly once and reaches parity.
+func TestCatchupAfterHeldQuiesce(t *testing.T) {
 	const n = 200
 	const burst = 30
 	primary := newEngine(n, 1)
 	primary.Insert(randomBatches(n, 1, 400, 1)[0][0])
 	feeder, srv, _ := startFeeder(t, primary, replica.FeederOptions{Heartbeat: 250 * time.Millisecond, Buffer: 256})
 
-	opts := fastFollowerOpts()
-	// The held quiesce below stops the stream goroutine from reading;
-	// don't let the silent-stream watchdog tear the connection down.
-	opts.StreamTimeout = 30 * time.Second
-	batched := newEngine(n, 1)
-	fol, err := replica.StartFollower(batched, srv.URL, opts)
+	follower := newEngine(n, 1)
+	fol, err := replica.StartFollower(follower, srv.URL, heldApplyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fol.Close()
-
-	serialOpts := opts
-	serialOpts.MaxApplyBatch = 1
-	serial := newEngine(n, 1)
-	sfol, err := replica.StartFollower(serial, srv.URL, serialOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sfol.Close()
-
-	waitFor(t, 5*time.Second, "both followers synced", func() bool {
-		return batched.Epoch() == primary.Epoch() && serial.Epoch() == primary.Epoch()
+	waitFor(t, 5*time.Second, "follower synced", func() bool {
+		return follower.Epoch() == primary.Epoch()
 	})
 	base := fol.Stats()
 	shipped0 := feeder.Stats().RecordsShipped
 
-	// Hold the batched follower's engine gate so its stream goroutine
-	// parks at the apply quiesce while the burst piles up on its socket.
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var qwg sync.WaitGroup
-	qwg.Add(1)
-	go func() {
-		defer qwg.Done()
-		batched.Quiesce(func() { close(entered); <-release })
-	}()
-	<-entered
-
+	release := holdApply(follower)
 	for _, r := range randomBatches(n, burst, 40, 2) {
 		primary.Insert(r[0])
 	}
-	// Both connections ship independently; wait until the feeder has
-	// written the whole burst to each (the serial follower's catch-up
-	// also proves the stream end-to-end), then let TCP land it.
-	waitFor(t, 5*time.Second, "burst shipped to both connections", func() bool {
-		return feeder.Stats().RecordsShipped >= shipped0+2*burst
-	})
-	waitFor(t, 5*time.Second, "serial follower caught up", func() bool {
-		return serial.Epoch() == primary.Epoch()
+	waitFor(t, 5*time.Second, "burst shipped", func() bool {
+		return feeder.Stats().RecordsShipped >= shipped0+burst
 	})
 	time.Sleep(50 * time.Millisecond)
-	close(release)
-	qwg.Wait()
+	release()
 
-	waitFor(t, 5*time.Second, "batched follower caught up", func() bool {
-		return batched.Epoch() == primary.Epoch()
+	waitFor(t, 5*time.Second, "follower caught up", func() bool {
+		return follower.Epoch() == primary.Epoch()
 	})
-	expectParity(t, primary, batched)
-	expectParity(t, primary, serial)
+	expectParity(t, primary, follower)
+	if applied := fol.Stats().RecordsApplied - base.RecordsApplied; applied != burst {
+		t.Fatalf("follower applied %d records, want %d", applied, burst)
+	}
+}
 
+// TestKickDuringHeldApplyResumesOnce pins the resume cursor against a
+// backlog: the feeder drops the connection while the follower is parked
+// at an apply with the burst already on its socket. The follower applies
+// what it had buffered, then resumes from exactly the records it applied,
+// so nothing is applied twice and no snapshot is transferred.
+func TestKickDuringHeldApplyResumesOnce(t *testing.T) {
+	const n, shards, burst = 200, 2, 10
+	primary := newEngine(n, shards)
+	primary.Insert(randomBatches(n, 1, 400, 1)[0][0])
+	feeder, srv, _ := startFeeder(t, primary, replica.FeederOptions{Heartbeat: 250 * time.Millisecond, Buffer: 256})
+
+	follower := newEngine(n, shards)
+	fol, err := replica.StartFollower(follower, srv.URL, heldApplyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	waitFor(t, 5*time.Second, "follower synced", func() bool {
+		return follower.Epoch() == primary.Epoch()
+	})
+	base := fol.Stats()
+	ep0 := primary.Epoch()
+	shipped0 := feeder.Stats().RecordsShipped
+
+	release := holdApply(follower)
+	for _, r := range randomBatches(n, burst, 40, 3) {
+		primary.Insert(r[0])
+	}
+	// Every shard commit is one record and one epoch.
+	committed := primary.Epoch() - ep0
+	waitFor(t, 5*time.Second, "burst shipped", func() bool {
+		return feeder.Stats().RecordsShipped >= shipped0+committed
+	})
+	if kicked := feeder.Kick(); kicked != 1 {
+		t.Fatalf("kicked %d connections, want 1", kicked)
+	}
+	release()
+
+	waitFor(t, 10*time.Second, "catch-up after kick", func() bool {
+		st := fol.Stats()
+		return st.Synced && st.Resumes > base.Resumes && follower.Epoch() == primary.Epoch()
+	})
+	expectParity(t, primary, follower)
+	if err := follower.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	st := fol.Stats()
-	applied := st.RecordsApplied - base.RecordsApplied
-	rounds := st.ApplyRounds - base.ApplyRounds
-	if applied != burst {
-		t.Fatalf("batched follower applied %d records, want %d", applied, burst)
+	if st.Resumes != base.Resumes+1 || st.Bootstraps != base.Bootstraps {
+		t.Fatalf("expected exactly one resume and no bootstrap, got %+v (before: %+v)", st, base)
 	}
-	if rounds*2 > applied {
-		t.Fatalf("catch-up applied %d records in %d quiesce rounds; batching never engaged", applied, rounds)
-	}
-	if sst := sfol.Stats(); sst.ApplyRounds != sst.RecordsApplied {
-		t.Fatalf("MaxApplyBatch=1 follower: %d records in %d rounds, want one per round", sst.RecordsApplied, sst.ApplyRounds)
+	if applied := st.RecordsApplied - base.RecordsApplied; applied != committed {
+		t.Fatalf("follower applied %d records, want the %d committed", applied, committed)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -314,25 +315,30 @@ func TestReplicationServerOptionValidation(t *testing.T) {
 }
 
 func TestRetryAfterSeconds(t *testing.T) {
-	// The engine can cross the floor between the wait deadline and the
-	// header computation: the hint must not underflow the (now negative)
-	// gap — just say retry immediately.
-	if got := retryAfterSeconds(10, 2, 10, 40*time.Millisecond, time.Second); got != "1" {
-		t.Fatalf("floor met: Retry-After %q, want \"1\"", got)
-	}
-	if got := retryAfterSeconds(10, 2, 12, 40*time.Millisecond, time.Second); got != "1" {
-		t.Fatalf("floor passed: Retry-After %q, want \"1\"", got)
-	}
-	// Observed progress extrapolates: 8 epochs in 2s, 8 to go => ~2s.
-	if got := retryAfterSeconds(20, 4, 12, 2*time.Second, 5*time.Second); got != "2" {
-		t.Fatalf("extrapolated: Retry-After %q, want \"2\"", got)
-	}
-	// No progress falls back to the wait budget, clamped to [1, 60].
-	if got := retryAfterSeconds(20, 4, 4, 2*time.Second, 5*time.Second); got != "5" {
-		t.Fatalf("stalled: Retry-After %q, want \"5\"", got)
-	}
-	if got := retryAfterSeconds(20, 4, 4, 2*time.Second, 5*time.Minute); got != "60" {
-		t.Fatalf("stalled long budget: Retry-After %q, want \"60\"", got)
+	for _, c := range []struct {
+		name              string
+		floor, start, now uint64
+		waited, budget    time.Duration
+		want              string
+	}{
+		// The engine can cross the floor between the wait deadline and
+		// the header computation: the hint must not underflow the (now
+		// negative) gap — just say retry immediately.
+		{"floor met", 10, 2, 10, 40 * time.Millisecond, time.Second, "1"},
+		{"floor passed", 10, 2, 12, 40 * time.Millisecond, time.Second, "1"},
+		// Observed progress extrapolates: 8 epochs in 2s, 8 to go => ~2s.
+		{"extrapolated", 20, 4, 12, 2 * time.Second, 5 * time.Second, "2"},
+		// A far-ahead floor (the client's min_epoch) saturates at the
+		// clamp instead of wrapping the gap × per-epoch product.
+		{"far floor", 1 << 40, 100, 110, 2 * time.Second, 2 * time.Second, "60"},
+		{"max floor", math.MaxUint64, 100, 110, 2 * time.Second, 2 * time.Second, "60"},
+		// No progress falls back to the wait budget, clamped to [1, 60].
+		{"stalled", 20, 4, 4, 2 * time.Second, 5 * time.Second, "5"},
+		{"stalled long budget", 20, 4, 4, 2 * time.Second, 5 * time.Minute, "60"},
+	} {
+		if got := retryAfterSeconds(c.floor, c.start, c.now, c.waited, c.budget); got != c.want {
+			t.Errorf("%s: Retry-After %q, want %q", c.name, got, c.want)
+		}
 	}
 }
 

@@ -74,6 +74,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -484,21 +485,13 @@ func retryAfterSeconds(floor, startEpoch, nowEpoch uint64, waited, budget time.D
 		// immediately (and keep the gap arithmetic below underflow-free).
 		return "1"
 	}
-	var secs int64
+	secs := math.Ceil(budget.Seconds())
 	if nowEpoch > startEpoch && waited > 0 {
-		gap := floor - nowEpoch
-		perEpoch := waited / time.Duration(nowEpoch-startEpoch)
-		secs = int64((time.Duration(gap)*perEpoch + time.Second - 1) / time.Second)
-	} else {
-		secs = int64((budget + time.Second - 1) / time.Second)
+		// Floating point saturates where gap × per-epoch time would wrap
+		// an int64 Duration: the gap comes from the client's min_epoch.
+		secs = math.Ceil(float64(floor-nowEpoch) * waited.Seconds() / float64(nowEpoch-startEpoch))
 	}
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return strconv.FormatInt(secs, 10)
+	return strconv.Itoa(int(min(max(secs, 1), 60)))
 }
 
 // serveCut is every linearizable read handler's one path to a committed

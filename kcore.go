@@ -496,9 +496,9 @@ type FeederStats = replica.FeederStats
 // FollowerStats is a replication follower's state: the primary it streams
 // from, whether the stream is connected and synced, its applied epoch and
 // the primary's announced one (and the lag between them, in epochs and in
-// bytes), records applied and the apply rounds they took, bootstraps,
-// resumes, reconnects, the last record and heartbeat times, and the last
-// connection error.
+// bytes), records applied (ApplyRounds repeats it: one quiesce per
+// record), bootstraps, resumes, reconnects, the last record and heartbeat
+// times, and the last connection error.
 type FollowerStats = replica.FollowerStats
 
 // ReplicationStats is a point-in-time snapshot of the replication role:
