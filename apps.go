@@ -18,51 +18,32 @@ import (
 // concurrently with an update batch.
 
 // Orientation is an acyclic edge orientation with provably low out-degree:
-// Out[v] lists v's out-neighbours, and the maximum out-degree is at most
-// the graph degeneracy.
-type Orientation struct {
-	Out [][]uint32
-}
-
-// MaxOutDegree returns the largest out-degree in the orientation.
-func (o *Orientation) MaxOutDegree() int {
-	max := 0
-	for _, out := range o.Out {
-		if len(out) > max {
-			max = len(out)
-		}
-	}
-	return max
-}
+// Out[v] lists v's out-neighbours, and MaxOutDegree is at most the graph
+// degeneracy.
+type Orientation = apps.Orientation
 
 // OrientLowOutDegree computes a low out-degree (degeneracy-bounded)
 // orientation of a static graph via the peeling order.
 func OrientLowOutDegree(n int, edges []Edge) *Orientation {
-	o := apps.LowOutDegreeOrientation(graph.CSRFromEdges(n, toInternal(edges)))
-	return &Orientation{Out: o.Out}
+	return apps.LowOutDegreeOrientation(graph.CSRFromEdges(n, toInternal(edges)))
 }
 
 // Orient computes a low out-degree orientation of the decomposition's
 // current graph (the global graph, when sharded). Quiescent operation.
 func (d *Decomposition) Orient() *Orientation {
-	o := apps.LowOutDegreeOrientation(d.eng.Snapshot())
-	return &Orientation{Out: o.Out}
+	return apps.LowOutDegreeOrientation(d.eng.Snapshot())
 }
 
 // DenseSubgraph holds an approximately densest subgraph: the vertex set
 // and its edge density (edges per vertex). The density is within a factor
 // of 2 of the optimum.
-type DenseSubgraph struct {
-	Vertices []uint32
-	Density  float64
-}
+type DenseSubgraph = apps.DensestSubgraphResult
 
 // DensestSubgraph returns the maximum-coreness core of the current graph
 // (the global graph, when sharded), a 2-approximation of the densest
 // subgraph. Quiescent operation.
 func (d *Decomposition) DensestSubgraph() DenseSubgraph {
-	r := apps.ApproxDensestSubgraph(d.eng.Snapshot())
-	return DenseSubgraph{Vertices: r.Vertices, Density: r.Density}
+	return apps.ApproxDensestSubgraph(d.eng.Snapshot())
 }
 
 // TopSpreaders returns the k vertices with the highest approximate

@@ -57,6 +57,7 @@ import (
 
 	"kcore"
 	"kcore/internal/faultfs"
+	"kcore/internal/gen"
 	"kcore/internal/graph"
 	"kcore/internal/lds"
 	"kcore/internal/server"
@@ -193,6 +194,9 @@ func main() {
 }
 
 func loadFile(srv *server.Server, path string, batch int) error {
+	if batch < 1 {
+		return fmt.Errorf("-batch must be at least 1, got %d", batch)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -202,13 +206,11 @@ func loadFile(srv *server.Server, path string, batch int) error {
 	if err != nil {
 		return err
 	}
-	for lo := 0; lo < len(edges); lo += batch {
-		hi := lo + batch
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		n := srv.InsertBatch(edges[lo:hi])
-		log.Printf("loaded batch %d..%d (%d applied)", lo, hi, n)
+	lo := 0
+	for _, b := range gen.Batches(edges, batch) {
+		n := srv.InsertBatch(b)
+		log.Printf("loaded batch %d..%d (%d applied)", lo, lo+len(b), n)
+		lo += len(b)
 	}
 	fmt.Println("load complete")
 	return nil

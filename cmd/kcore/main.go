@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"kcore/internal/exact"
+	"kcore/internal/gen"
 	"kcore/internal/graph"
 	"kcore/internal/lds"
 	"kcore/internal/plds"
@@ -47,6 +48,9 @@ func main() {
 }
 
 func run(path, mode string, delta, lambda float64, batch int, statsOnly, hist bool, top int) error {
+	if batch < 1 {
+		return fmt.Errorf("-batch must be at least 1, got %d", batch)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -66,12 +70,8 @@ func run(path, mode string, delta, lambda float64, batch int, statsOnly, hist bo
 		}
 	case "approx":
 		p := plds.New(n, lds.Params{Delta: delta, Lambda: lambda}, nil)
-		for lo := 0; lo < len(edges); lo += batch {
-			hi := lo + batch
-			if hi > len(edges) {
-				hi = len(edges)
-			}
-			p.InsertBatch(edges[lo:hi])
+		for _, b := range gen.Batches(edges, batch) {
+			p.InsertBatch(b)
 		}
 		core = make([]float64, n)
 		for v := 0; v < n; v++ {

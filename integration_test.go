@@ -1,63 +1,93 @@
 package kcore
 
 import (
-	"bytes"
 	"math"
 	"sync"
 	"testing"
 
-	"kcore/internal/lds"
-	"kcore/internal/trace"
+	"kcore/internal/gen"
 )
 
-// TestIntegrationTraceReplayMatchesDirect replays a synthesized workload
-// through the trace machinery and through direct public-API calls and
-// checks that both end in the same graph state with valid invariants.
-func TestIntegrationTraceReplayMatchesDirect(t *testing.T) {
-	tr, err := trace.Synthesize("tiny", 1200, 30, 0.25, 17)
+// TestIntegrationChurnIsDeterministic drives one churn stream — shuffled
+// 800-edge insertion batches of the tiny profile, each followed by the
+// deletion of a quarter of the batch inserted two batches earlier — through
+// two fresh decompositions at each of one and three shards. The two builds
+// at one shard count must end at the same epoch with identical coreness
+// vectors read at the same epoch, both shard counts must end with the same
+// edge count, and every build must pass its invariant check.
+func TestIntegrationChurnIsDeterministic(t *testing.T) {
+	edges, n, err := gen.DatasetByName("tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Serialize + deserialize to also exercise the binary format.
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
+	type op struct {
+		del   bool
+		edges []Edge
 	}
-	tr2, err := trace.ReadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := trace.Replay(tr2, lds.DefaultParams(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Direct replay through the public API.
-	d, err := New(tr.NumVertices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range tr.Ops {
-		es := make([]Edge, len(op.Edges))
-		for i, e := range op.Edges {
+	var ops []op
+	var pending [][]Edge
+	for _, b := range gen.Batches(gen.Shuffle(edges, 17), 800) {
+		es := make([]Edge, len(b))
+		for i, e := range b {
 			es[i] = Edge{U: e.U, V: e.V}
 		}
-		switch op.Kind {
-		case trace.OpInsert:
-			d.InsertEdges(es)
-		case trace.OpDelete:
-			d.DeleteEdges(es)
-		case trace.OpRead:
-			for _, v := range op.Vertices {
-				d.Coreness(v)
-			}
+		ops = append(ops, op{edges: es})
+		pending = append(pending, es[:len(es)/4])
+		if len(pending) > 2 {
+			ops = append(ops, op{del: true, edges: pending[0]})
+			pending = pending[1:]
 		}
 	}
-	if d.NumEdges() != res.FinalEdges {
-		t.Fatalf("final edges: direct %d vs replay %d", d.NumEdges(), res.FinalEdges)
+	for _, es := range pending {
+		ops = append(ops, op{del: true, edges: es})
 	}
-	if err := d.Check(); err != nil {
-		t.Fatal(err)
+
+	all := make([]uint32, n)
+	for v := range all {
+		all[v] = uint32(v)
+	}
+	var oneShardEdges int64
+	for _, p := range []int{1, 3} {
+		var ds [2]*Decomposition
+		for i := range ds {
+			d, err := New(n, WithShards(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			for _, op := range ops {
+				if op.del {
+					d.DeleteEdges(op.edges)
+				} else {
+					d.InsertEdges(op.edges)
+				}
+			}
+			if err := d.Check(); err != nil {
+				t.Fatalf("shards=%d build %d: %v", p, i, err)
+			}
+			ds[i] = d
+		}
+		if a, b := ds[0].Epoch(), ds[1].Epoch(); a != b {
+			t.Fatalf("shards=%d: epochs %d and %d", p, a, b)
+		}
+		va, vb := ds[0].View(), ds[1].View()
+		ca, cb := va.CorenessMany(all), vb.CorenessMany(all)
+		if va.Epoch() != vb.Epoch() {
+			t.Fatalf("shards=%d: views read epochs %d and %d", p, va.Epoch(), vb.Epoch())
+		}
+		for v := range ca {
+			if ca[v] != cb[v] {
+				t.Fatalf("shards=%d: coreness of %d is %v and %v", p, v, ca[v], cb[v])
+			}
+		}
+		if p == 1 {
+			oneShardEdges = ds[0].NumEdges()
+		}
+		for i, d := range ds {
+			if d.NumEdges() != oneShardEdges {
+				t.Fatalf("shards=%d build %d: %d edges, one shard %d", p, i, d.NumEdges(), oneShardEdges)
+			}
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package lds implements the sequential Level Data Structure (LDS) of
-// Bhattacharya et al. and Henzinger et al., with the parameterization and
-// (2+ε)-approximation analysis of Liu et al. (SPAA 2022). It also defines
-// the shared level-structure parameters used by the parallel (PLDS) and
-// concurrent (CPLDS) variants.
+// Package lds holds the level-structure parameters and the invariant
+// checker of the Level Data Structure (LDS) of Bhattacharya et al. and
+// Henzinger et al., with the parameterization and (2+ε)-approximation
+// analysis of Liu et al. (SPAA 2022), shared by the parallel (PLDS) and
+// concurrent (CPLDS) variants. The sequential reference LDS is test-only.
 //
 // The LDS partitions vertices into K = O(log² n) levels organized into
 // O(log n) groups of 4⌈log_{1+δ} n⌉ levels each. Two invariants are

@@ -249,33 +249,6 @@ func TestMixedBatchSequence(t *testing.T) {
 	}
 }
 
-func TestAgreesWithSequentialLDSOnGraph(t *testing.T) {
-	// The PLDS and sequential LDS may settle vertices at different levels,
-	// but both must satisfy the invariants on the same final graph and
-	// yield estimates within the provable factor of each other.
-	const n = 200
-	edges := gen.ErdosRenyi(n, 1500, 68)
-	p := New(n, defaultP(), nil)
-	p.InsertBatch(edges)
-	l := lds.New(n, defaultP())
-	for _, e := range edges {
-		l.InsertEdge(e.U, e.V)
-	}
-	if err := p.CheckInvariants(); err != nil {
-		t.Fatalf("plds: %v", err)
-	}
-	if err := l.CheckInvariants(); err != nil {
-		t.Fatalf("lds: %v", err)
-	}
-	factor := provableBound(defaultP()) * provableBound(defaultP())
-	for v := uint32(0); v < n; v++ {
-		pe, le := p.Estimate(v), l.Estimate(v)
-		if r := math.Max(pe/le, le/pe); r > factor {
-			t.Fatalf("vertex %d: plds est %.2f vs lds est %.2f", v, pe, le)
-		}
-	}
-}
-
 func TestPLDSProperty(t *testing.T) {
 	f := func(raw [][2]uint8, split uint8) bool {
 		const n = 64

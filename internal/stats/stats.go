@@ -116,15 +116,6 @@ func (e *ErrorAccumulator) Add(err float64) {
 	e.count++
 }
 
-// MergeFrom folds another accumulator into this one.
-func (e *ErrorAccumulator) MergeFrom(o *ErrorAccumulator) {
-	e.sum += o.sum
-	if o.max > e.max {
-		e.max = o.max
-	}
-	e.count += o.count
-}
-
 // Count returns the number of recorded values.
 func (e *ErrorAccumulator) Count() int { return e.count }
 

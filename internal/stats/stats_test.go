@@ -130,12 +130,6 @@ func TestErrorAccumulator(t *testing.T) {
 	if e.Mean() != 2 || e.Max() != 3 || e.Count() != 2 {
 		t.Fatalf("acc = mean %v max %v count %d", e.Mean(), e.Max(), e.Count())
 	}
-	var f ErrorAccumulator
-	f.Add(5)
-	e.MergeFrom(&f)
-	if e.Max() != 5 || e.Count() != 3 {
-		t.Fatalf("after merge: max %v count %d", e.Max(), e.Count())
-	}
 }
 
 func TestThroughput(t *testing.T) {
