@@ -71,7 +71,7 @@ func main() {
 	delta := flag.Float64("delta", 0.2, "approximation parameter delta")
 	lambda := flag.Float64("lambda", 9, "approximation parameter lambda")
 	batch := flag.Int("batch", 100000, "startup-load batch size")
-	shards := flag.Int("shards", 1, "number of engine shards (concurrent update batches scale per shard)")
+	shards := flag.Int("shards", 1, "number of engine shards (each update batch is split across shards that apply their parts in parallel)")
 	maxBatch := flag.Int("maxbatch", server.DefaultMaxBatchEdges, "max edges accepted per /edges/batch request")
 	retain := flag.Int("retain", server.DefaultRetainedEpochs,
 		"retired epochs kept readable for ?epoch= reads (0 disables)")

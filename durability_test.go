@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -58,14 +59,14 @@ func applyScript(d *Decomposition, script []scriptOp) {
 type engineState struct {
 	coreness []float64
 	epoch    uint64
-	batches  uint64
+	load     []ShardLoad
 	edges    int64
 }
 
 func captureState(d *Decomposition) engineState {
 	out := make([]float64, d.NumVertices())
 	ep := d.eng.ReadAllPinned(out)
-	return engineState{coreness: out, epoch: ep, batches: d.BatchNumber(), edges: d.NumEdges()}
+	return engineState{coreness: out, epoch: ep, load: d.ShardStats(), edges: d.NumEdges()}
 }
 
 func requireSameState(t *testing.T, got, want engineState, label string) {
@@ -73,8 +74,8 @@ func requireSameState(t *testing.T, got, want engineState, label string) {
 	if got.epoch != want.epoch {
 		t.Fatalf("%s: epoch %d, want %d", label, got.epoch, want.epoch)
 	}
-	if got.batches != want.batches {
-		t.Fatalf("%s: batch number %d, want %d", label, got.batches, want.batches)
+	if !slices.Equal(got.load, want.load) {
+		t.Fatalf("%s: shard load %+v, want %+v", label, got.load, want.load)
 	}
 	if got.edges != want.edges {
 		t.Fatalf("%s: %d edges, want %d", label, got.edges, want.edges)

@@ -30,8 +30,7 @@ func main() {
 		batch = append(batch, kcore.Edge{U: i, V: i + 1})
 	}
 	added := d.InsertEdges(batch)
-	fmt.Printf("inserted %d edges in batch #%d (committed epoch %d)\n",
-		added, d.BatchNumber(), d.Epoch())
+	fmt.Printf("inserted %d edges (committed epoch %d)\n", added, d.Epoch())
 
 	// Read coreness estimates. Reads are lock-free and linearizable; they
 	// can be issued from any goroutine, even while a batch is running.

@@ -15,7 +15,7 @@ import (
 // ShardScalingResult is one row of the shard-scaling experiment: batch-
 // update throughput (and background read throughput) of the sharded engine
 // at a given shard count, with cfg.Writers concurrent client goroutines
-// submitting insertion batches through the coalescing scheduler.
+// submitting insertion batches.
 type ShardScalingResult struct {
 	Dataset     string
 	Shards      int
@@ -39,9 +39,9 @@ func (r ShardScalingResult) AllocsPerEdge() float64 {
 // RunShardScaling measures batch-update throughput of the sharded engine
 // at one shard count. Unlike RunThroughput — where a single updater owns
 // the engine — the measured load here is cfg.Writers concurrent client
-// goroutines racing to submit batches; the engine's scheduler coalesces
-// their submissions into per-shard sub-batches and applies sub-batches of
-// distinct shards in parallel. cfg.Readers goroutines issue lock-free
+// goroutines racing to submit batches; the engine applies the submissions
+// one after another, each split into per-shard sub-batches that distinct
+// shards apply in parallel. cfg.Readers goroutines issue lock-free
 // linearizable reads throughout.
 func RunShardScaling(cfg Config, shards int) (ShardScalingResult, error) {
 	cfg = cfg.withDefaults()
@@ -82,7 +82,7 @@ func RunShardScaling(cfg Config, shards int) (ShardScalingResult, error) {
 		}
 
 		// Concurrent submitters: writers claim batches from a shared index
-		// and race their submissions into the scheduler.
+		// and race their submissions into the engine.
 		var next atomic.Int64
 		var edges atomic.Int64
 		var writerWG sync.WaitGroup

@@ -47,8 +47,8 @@
 // the library, configured by this package's options. Reads go through the
 // Decomposition's Views and never block on updates; update requests from
 // concurrent clients become ApplyBatch/InsertEdges/DeleteEdges calls, which
-// the engine applies one after another with one shard and coalesces into
-// per-shard sub-batches with more.
+// the engine applies one after another, with the same semantics at every
+// shard count.
 //
 // Every read response carries an "epoch" field: the committed batch
 // boundary (cross-shard, when sharded) the response was served from.
@@ -378,6 +378,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // corenessResponse is the JSON body of /coreness. Epoch is the committed
 // batch boundary the value belongs to (current epoch for the unpinned
 // nonsync/blocking modes; the requested boundary for retained reads).
+// Batch, like every "batch"/"batches" field, is the current committed
+// epoch.
 type corenessResponse struct {
 	Vertex   uint32  `json:"vertex"`
 	Coreness float64 `json:"coreness"`
@@ -575,7 +577,7 @@ func (s *Server) handleCoreness(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reads.Add(1)
-	writeJSON(w, corenessResponse{Vertex: v, Coreness: est, Mode: mode, Batch: s.d.BatchNumber(), Epoch: epoch})
+	writeJSON(w, corenessResponse{Vertex: v, Coreness: est, Mode: mode, Batch: s.d.Epoch(), Epoch: epoch})
 }
 
 // bulkRequest is the JSON body of POST /coreness/bulk: the vertices to
@@ -707,7 +709,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Vertices:    s.d.NumVertices(),
 		Shards:      s.d.Shards(),
 		Edges:       s.d.NumEdges(),
-		Batches:     s.d.BatchNumber(),
+		Batches:     s.d.Epoch(),
 		Epoch:       s.d.Epoch(),
 		Retained:    s.d.RetainedEpochs(),
 		OldestEpoch: s.d.OldestReadableEpoch(),
@@ -779,7 +781,7 @@ func (s *Server) handleUpdate(insert bool) http.HandlerFunc {
 			applied = s.d.DeleteEdges(toEdges(edges))
 			s.deleted.Add(int64(applied))
 		}
-		writeJSON(w, updateResponse{Applied: applied, Batch: s.d.BatchNumber()})
+		writeJSON(w, updateResponse{Applied: applied, Batch: s.d.Epoch()})
 	}
 }
 
@@ -856,7 +858,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ins, del := s.d.ApplyBatch(toEdges(req.Insert), toEdges(req.Delete))
 	s.inserted.Add(int64(ins))
 	s.deleted.Add(int64(del))
-	writeJSON(w, batchResponse{Inserted: ins, Deleted: del, Batch: s.d.BatchNumber()})
+	writeJSON(w, batchResponse{Inserted: ins, Deleted: del, Batch: s.d.Epoch()})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

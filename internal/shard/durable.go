@@ -12,67 +12,30 @@ import (
 
 var _ wal.Engine = (*Engine)(nil)
 
-// SetBatchLog installs fn, called synchronously inside each shard's
-// one-updater section after every coalesced batch round commits — per
-// shard, records are therefore produced in local commit order, which is
-// the commit-vector order the multi-version vector log assigns to global
-// epochs. The Batch's edge slices alias the round's coalescing buffers
-// and are only valid for the duration of the call. Install before the
-// engine serves updates (or under Quiesce); nil uninstalls.
+// SetBatchLog installs fn, called synchronously after every committed
+// round by the goroutine that ran it, under the apply lock: per shard,
+// records are therefore produced in local commit order, which is the
+// commit-vector order the multi-version vector log assigns to global
+// epochs. Rounds of distinct shards of one call run in parallel, so fn
+// must accept concurrent calls for distinct shards. The Batch's edge
+// slices alias the round's buffers and are only valid for the duration of
+// the call. Install before the engine serves updates (or under Quiesce);
+// nil uninstalls.
 func (e *Engine) SetBatchLog(fn func(wal.Batch)) { e.batchLog = fn }
 
-// Quiesce runs f while every shard's apply lock is held (acquired in
-// index order, so concurrent Quiesce calls cannot deadlock): no batch is
-// in flight and none can start until f returns. Concurrent submissions
-// queue as usual and drain after f.
+// Quiesce runs f while the apply lock is held: no batch is in flight and
+// none can start until f returns. Concurrent submissions wait and apply
+// after f.
 func (e *Engine) Quiesce(f func()) {
-	for _, s := range e.shards {
-		s.applyMu.Lock()
-	}
-	defer func() {
-		for _, s := range e.shards {
-			s.applyMu.Unlock()
-		}
-	}()
+	e.applyMu.Lock()
+	defer e.applyMu.Unlock()
 	f()
 }
 
-// ApplyLogged re-applies one logged batch round to its shard with exactly
-// the accounting of the live path. With P = 1 that is applyOne itself.
-// With P > 1 (drainAndApplyLocked) presence and primary-ownership are
-// evaluated against the pre-round graph, then the insert and delete
-// sub-batches run in order. Single-threaded recovery use only.
-func (e *Engine) ApplyLogged(b wal.Batch) {
-	if e.p == 1 {
-		e.applyOne(b)
-		return
-	}
-	s := e.shards[b.Shard]
-	g := s.c.Graph()
-	for _, ed := range b.Ins {
-		if e.ShardOf(ed.U) == b.Shard && !g.HasEdge(ed.U, ed.V) {
-			e.numEdges.Add(1)
-			s.primaryEdges.Add(1)
-		}
-	}
-	for _, ed := range b.Del {
-		if e.ShardOf(ed.U) == b.Shard && g.HasEdge(ed.U, ed.V) {
-			e.numEdges.Add(-1)
-			s.primaryEdges.Add(-1)
-		}
-	}
-	if b.HasIns {
-		applied := int64(s.c.InsertBatch(b.Ins))
-		s.inserted.Add(applied)
-		s.localEdges.Add(applied)
-	}
-	if b.HasDel {
-		applied := int64(s.c.DeleteBatch(b.Del))
-		s.deleted.Add(applied)
-		s.localEdges.Add(-applied)
-	}
-	s.batches.Add(1)
-}
+// ApplyLogged re-applies one logged round to its shard through applyRound,
+// the live path, so counters, epochs and levels come out as they did live.
+// Single-threaded recovery, or inside Quiesce.
+func (e *Engine) ApplyLogged(b wal.Batch) { e.applyRound(b) }
 
 // ShardDurable captures shard si's durable state: a CSR copy of its local
 // subgraph, its levels, its local committed epoch and its cumulative
@@ -84,7 +47,6 @@ func (e *Engine) ShardDurable(si int) wal.ShardState {
 		Graph:    s.c.Graph().Snapshot(),
 		Levels:   make([]int32, e.n),
 		Epoch:    s.c.Epoch(),
-		Batches:  s.batches.Load(),
 		Inserted: s.inserted.Load(),
 		Deleted:  s.deleted.Load(),
 	}
@@ -110,7 +72,6 @@ func (e *Engine) RestoreShard(si int, st wal.ShardState) error {
 	if err := s.c.Restore(st.Graph, st.Levels, st.Epoch); err != nil {
 		return fmt.Errorf("shard %d: %w", si, err)
 	}
-	s.batches.Store(st.Batches)
 	s.inserted.Store(st.Inserted)
 	s.deleted.Store(st.Deleted)
 	var local, primary int64
@@ -131,7 +92,7 @@ func (e *Engine) RestoreShard(si int, st wal.ShardState) error {
 // RestoreAll restores every shard from states inside one quiesce section
 // (see RestoreShard). Safe on a live engine serving concurrent reads —
 // this is the follower-side entry point for replication bootstrap.
-// Updaters are excluded for the duration (they queue and drain after).
+// Updaters are excluded for the duration (they wait and apply after).
 func (e *Engine) RestoreAll(states []wal.ShardState) error {
 	if len(states) != e.p {
 		return fmt.Errorf("shard: restore of %d shard states into %d shards", len(states), e.p)

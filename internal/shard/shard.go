@@ -1,8 +1,7 @@
 // Package shard provides the repository's one k-core engine: vertices are
 // hash-partitioned across P cplds.CPLDS instances, and update submissions
 // are accepted from any number of goroutines. P = 1 is a single CPLDS
-// behind a mutex; P > 1 adds cut-edge mirroring and a batch-coalescing
-// scheduler.
+// behind a mutex; P > 1 adds cut-edge mirroring.
 //
 // # Partitioning
 //
@@ -16,21 +15,15 @@
 // # Scheduling
 //
 // Updates are submitted via Apply/Insert/Delete, which may be called
-// concurrently. With P = 1 a submission takes the shard's apply lock and
-// runs as an insertion sub-batch then a deletion sub-batch on the CPLDS,
-// exactly the paper's model; concurrent submissions wait for the lock and
-// are not merged. With P > 1 each submission is split into per-shard
-// sub-batches and enqueued; per shard, a combining lock drains everything
-// queued, coalesces it into one CPLDS batch (deduping opposing
-// insert/delete pairs of the same edge — the latest submission wins), and
-// applies it under that shard's one-updater contract. Sub-batches of
-// distinct shards are applied in parallel. A caller's submission is thus
-// folded into at most one CPLDS batch per shard together with every other
-// submission that queued behind the same in-flight batch.
-//
-// Cross-shard enqueue of one submission is atomic and globally ordered, so
-// the two mirror copies of a cut edge always converge to the same presence
-// state even when racing submissions touch the same edge.
+// concurrently. Each call holds the engine's one apply lock for its whole
+// length, so concurrent calls apply one after another and are never merged.
+// A call's edges are routed into one round per shard it touches (the whole
+// call, as submitted, when P = 1), and the touched shards run their rounds
+// in parallel. Every round, live or replayed from a log, is the paper's
+// model: the insertion sub-batch, then the deletion sub-batch, each one
+// CPLDS batch committing one epoch on its shard. An edge in both lists of a
+// call is thus inserted and then deleted at every P, and the two mirror
+// copies of a cut edge see the same sequence of sub-batches.
 //
 // # Semantics
 //
@@ -63,48 +56,11 @@ import (
 	"kcore/internal/wal"
 )
 
-// opKind distinguishes the two edge operations in a coalesced batch.
-type opKind uint8
-
-const (
-	opInsert opKind = iota
-	opDelete
-)
-
-// entry is one (edge, operation) pair routed to a shard. primary marks the
-// copy that owns accounting for the edge (the owner shard of the canonical
-// lower endpoint), so mirrored cut edges are counted exactly once.
-type entry struct {
-	e       graph.Edge
-	kind    opKind
-	primary bool
-}
-
-// subOp is the portion of one caller submission routed to one shard.
-type subOp struct {
-	entries []entry
-	op      *pendingOp
-	done    atomic.Bool
-}
-
-// pendingOp aggregates the per-shard results of one caller submission.
-type pendingOp struct {
-	inserted atomic.Int64
-	deleted  atomic.Int64
-}
-
-// shardState is one shard: a CPLDS over the local subgraph plus its
-// scheduler queue, combining lock and load counters.
+// shardState is one shard: a CPLDS over the local subgraph plus its load
+// counters.
 type shardState struct {
 	c   *cplds.CPLDS
 	idx int // this shard's index (for batch-log records)
-
-	qmu   sync.Mutex
-	queue []*subOp
-
-	applyMu sync.Mutex // held while draining + applying (the one updater)
-
-	batches atomic.Uint64 // CPLDS sub-batches (P = 1) or coalesced rounds (P > 1)
 
 	// events is the change-feed extraction arena, reused across commits and
 	// only touched inside this shard's commit hook.
@@ -120,11 +76,11 @@ type shardState struct {
 
 // Engine is the CPLDS engine over P shards.
 //
-// Concurrency contract, for every P: Apply, Insert and Delete may be
-// called from any number of goroutines; Read, ReadNonSync, ReadSync, the
-// pinned and retained reads, NumEdges, Epoch and Stats from any goroutine
-// at any time. Quiescent operations (Snapshot, GlobalEdges, Degree,
-// IncidentEdges, ExactCoreness, CheckInvariants, LocalGraph) must not run
+// Concurrency contract, for every P: Apply, Insert, Delete and RemoveVertex
+// may be called from any number of goroutines; Read, ReadNonSync, ReadSync,
+// the pinned and retained reads, NumEdges, Epoch and Stats from any
+// goroutine at any time. Quiescent operations (Snapshot, GlobalEdges,
+// Degree, ExactCoreness, CheckInvariants, LocalGraph) must not run
 // concurrently with updates.
 type Engine struct {
 	n      int
@@ -133,10 +89,10 @@ type Engine struct {
 	shards []*shardState
 	owned  []int // owned vertex count per shard (fixed by the hash)
 
-	// submitMu makes cross-shard enqueue atomic: every shard queue sees
-	// submissions appended in the same global order, which is what the
-	// latest-submission-wins coalescing relies on for mirror convergence.
-	submitMu sync.Mutex
+	// applyMu is the one update lock: every update call and Quiesce hold it
+	// for their whole length, which makes each shard's CPLDS single-updater.
+	applyMu sync.Mutex
+	rounds  []wal.Batch // per-shard rounds of the current call (P > 1), under applyMu
 
 	numEdges atomic.Int64 // global (deduplicated) edge count
 
@@ -156,11 +112,11 @@ type Engine struct {
 	// the cross-shard epoch of the commit.
 	hub *feed.Hub
 
-	// batchLog, when non-nil, receives one wal.Batch per committed
-	// coalesced round, invoked inside the committing shard's one-updater
-	// section (see SetBatchLog). Installed before the engine serves
-	// traffic or under Quiesce, so no synchronization beyond applyMu is
-	// needed on the read side.
+	// batchLog, when non-nil, receives one wal.Batch per committed round,
+	// invoked under applyMu by the goroutine running that round (see
+	// SetBatchLog). Installed before the engine serves traffic or under
+	// Quiesce, so no synchronization beyond applyMu is needed on the read
+	// side.
 	batchLog func(wal.Batch)
 }
 
@@ -170,7 +126,7 @@ func New(n, p int, params lds.Params) *Engine {
 	if p < 1 {
 		p = 1
 	}
-	e := &Engine{n: n, p: p, params: params, shards: make([]*shardState, p)}
+	e := &Engine{n: n, p: p, params: params, shards: make([]*shardState, p), rounds: make([]wal.Batch, p)}
 	for i := range e.shards {
 		s := &shardState{c: cplds.New(n, params), idx: i}
 		s.c.SetCommitHook(e.feedActive, func(d *mvcc.Delta, publish func()) { e.commit(s, d, publish) })
@@ -203,20 +159,9 @@ func (e *Engine) ApproxFactor() float64 { return e.params.ApproxFactor() }
 // with updates; the value is the count as of the last completed accounting.
 func (e *Engine) NumEdges() int64 { return e.numEdges.Load() }
 
-// Batches returns the number of update batches applied: with P = 1 the
-// CPLDS sub-batches (an insertion and a deletion count as two, as in the
-// paper's model), with P > 1 the coalesced rounds summed across shards.
-func (e *Engine) Batches() uint64 {
-	var total uint64
-	for _, s := range e.shards {
-		total += s.batches.Load()
-	}
-	return total
-}
-
 // Epoch returns the cross-shard epoch: the total number of CPLDS batches
-// committed across all shards, advanced as the scheduler's coalesced
-// rounds commit on their shards — i.e. exactly at batch boundaries.
+// committed across all shards, advanced as each sub-batch commits on its
+// shard — i.e. exactly at batch boundaries.
 //
 // A sum labels a cut unambiguously for the epochs reported by the pinned
 // read protocols. The per-shard committed counts form one monotone history
@@ -552,193 +497,155 @@ func (e *Engine) Delete(edges []graph.Edge) int {
 }
 
 // Apply submits a mixed batch and returns the number of edges this call
-// actually inserted and deleted. Safe for concurrent callers. An all-empty
+// actually inserted into and deleted from the global graph. Safe for
+// concurrent callers, which apply one after another. An all-empty
 // submission commits no epoch.
 //
-// With P = 1 the insertions run as one CPLDS batch and then the deletions
-// as another (see applyOne), so an edge in both is inserted and then
-// deleted. With P > 1 a deletion of an edge overrides an insertion of the
-// same edge within one call, and concurrent submissions to the same shard
-// are coalesced into one CPLDS batch.
+// Every touched shard runs the call's insertions as one CPLDS batch and
+// then its deletions as another (see applyRound), so an edge in both lists
+// is inserted and then deleted, at every P.
 func (e *Engine) Apply(insertions, deletions []graph.Edge) (inserted, deleted int) {
+	e.applyMu.Lock()
+	defer e.applyMu.Unlock()
+	return e.applyLocked(insertions, deletions)
+}
+
+// RemoveVertex deletes every edge incident to v in one call and returns the
+// number removed. The edges are collected from v's owning shard, which
+// holds all of them, under the same hold of applyMu as their deletion, so
+// no concurrent update can slip between the two. Safe for concurrent
+// callers.
+func (e *Engine) RemoveVertex(v uint32) int {
+	if int(v) >= e.n {
+		return 0
+	}
+	e.applyMu.Lock()
+	defer e.applyMu.Unlock()
+	var incident []graph.Edge
+	e.shards[e.ShardOf(v)].c.Graph().Neighbors(v, func(w uint32) bool {
+		incident = append(incident, graph.Edge{U: v, V: w})
+		return true
+	})
+	_, deleted := e.applyLocked(nil, incident)
+	return deleted
+}
+
+// applyLocked applies one update call: with P = 1 its lists, as submitted,
+// are the one round; with P > 1 they are routed into one round per shard
+// and the touched shards run in parallel. Each committed round is logged
+// (SetBatchLog) before the call returns; an all-empty call commits and logs
+// nothing. Caller holds applyMu.
+func (e *Engine) applyLocked(insertions, deletions []graph.Edge) (inserted, deleted int) {
 	if len(insertions) == 0 && len(deletions) == 0 {
 		return 0, 0
 	}
 	if e.p == 1 {
-		s := e.shards[0]
-		b := wal.Batch{Ins: insertions, Del: deletions, HasIns: len(insertions) > 0, HasDel: len(deletions) > 0}
-		s.applyMu.Lock()
-		defer s.applyMu.Unlock()
-		inserted, deleted = e.applyOne(b)
-		if e.batchLog != nil {
-			b.Epoch = s.c.Epoch()
-			e.batchLog(b)
-		}
-		return inserted, deleted
+		return e.applyLive(wal.Batch{Ins: insertions, Del: deletions, HasIns: len(insertions) > 0, HasDel: len(deletions) > 0})
 	}
+	e.route(insertions, deletions)
+	var ins, del atomic.Int64
+	var work []func()
+	for si := range e.rounds {
+		if b := e.rounds[si]; b.HasIns || b.HasDel {
+			work = append(work, func() {
+				i, d := e.applyLive(b)
+				ins.Add(int64(i))
+				del.Add(int64(d))
+			})
+		}
+	}
+	parallel.Do(work...)
+	return int(ins.Load()), int(del.Load())
+}
 
-	// Normalize and dedupe within the call: canonical form, in-range,
-	// no self-loops; delete-after-insert of the same edge leaves a delete.
-	ops := make(map[graph.Edge]opKind, len(insertions)+len(deletions))
+// route splits a call's edges into e.rounds, one wal.Batch per shard, in
+// submission order: each edge in canonical form, self-loops and
+// out-of-range endpoints dropped, a cut edge routed to both its shards.
+// The rounds' edge buffers are reused across calls. Caller holds applyMu.
+func (e *Engine) route(insertions, deletions []graph.Edge) {
+	for si := range e.rounds {
+		b := &e.rounds[si]
+		*b = wal.Batch{Shard: si, Ins: b.Ins[:0], Del: b.Del[:0]}
+	}
+	put := func(si int, ed graph.Edge, del bool) {
+		b := &e.rounds[si]
+		if del {
+			b.Del, b.HasDel = append(b.Del, ed), true
+		} else {
+			b.Ins, b.HasIns = append(b.Ins, ed), true
+		}
+	}
 	n := uint32(e.n)
-	addAll := func(edges []graph.Edge, k opKind) {
+	for i, edges := range [2][]graph.Edge{insertions, deletions} {
 		for _, ed := range edges {
 			if ed.IsSelfLoop() || ed.U >= n || ed.V >= n {
 				continue
 			}
-			ops[ed.Canon()] = k
-		}
-	}
-	addAll(insertions, opInsert)
-	addAll(deletions, opDelete)
-	if len(ops) == 0 {
-		return 0, 0
-	}
-
-	// Split into per-shard sub-batches with cut-edge mirroring.
-	perShard := make(map[int][]entry, e.p)
-	for ed, k := range ops {
-		su, sv := e.ShardOf(ed.U), e.ShardOf(ed.V)
-		perShard[su] = append(perShard[su], entry{e: ed, kind: k, primary: true})
-		if sv != su {
-			perShard[sv] = append(perShard[sv], entry{e: ed, kind: k})
-		}
-	}
-	op := &pendingOp{}
-	subs := make(map[int]*subOp, len(perShard))
-
-	// Enqueue atomically across shards so every shard queue observes
-	// submissions in the same global order (mirror convergence).
-	e.submitMu.Lock()
-	for si, entries := range perShard {
-		sub := &subOp{entries: entries, op: op}
-		subs[si] = sub
-		s := e.shards[si]
-		s.qmu.Lock()
-		s.queue = append(s.queue, sub)
-		s.qmu.Unlock()
-	}
-	e.submitMu.Unlock()
-
-	// Flush the touched shards in parallel. Each flush loops until this
-	// call's sub-batch has been applied — by us or by whichever caller
-	// currently holds the shard's combining lock.
-	thunks := make([]func(), 0, len(subs))
-	for si, sub := range subs {
-		s, sub := e.shards[si], sub
-		thunks = append(thunks, func() {
-			for !sub.done.Load() {
-				s.applyMu.Lock()
-				s.drainAndApplyLocked(e)
-				s.applyMu.Unlock()
+			ed = ed.Canon()
+			su, sv := e.ShardOf(ed.U), e.ShardOf(ed.V)
+			put(su, ed, i == 1)
+			if sv != su {
+				put(sv, ed, i == 1)
 			}
-		})
+		}
 	}
-	parallel.Do(thunks...)
-	return int(op.inserted.Load()), int(op.deleted.Load())
 }
 
-// applyOne applies one round to the single shard of a P = 1 engine: the
-// insertion sub-batch if b.HasIns, then the deletion sub-batch if b.HasDel,
-// each one CPLDS batch committing one epoch. No edge is mirrored, so the
-// CPLDS's applied counts are every counter's delta; the CPLDS itself drops
-// self-loops, out-of-range endpoints and duplicates. Live rounds (Apply)
-// and replayed ones (ApplyLogged) both run here, so recovered and
-// replicated counters equal the live ones. Caller holds applyMu or is the
-// single-threaded recovery.
-func (e *Engine) applyOne(b wal.Batch) (inserted, deleted int) {
-	s := e.shards[0]
+// applyLive runs one live round through applyRound and logs it. The record
+// aliases the round's buffers; the logger serializes it before returning,
+// so a caller's return implies its batch is in the log (durable, under the
+// fsync-always policy).
+func (e *Engine) applyLive(b wal.Batch) (inserted, deleted int) {
+	inserted, deleted = e.applyRound(b)
+	if e.batchLog != nil {
+		b.Epoch = e.shards[b.Shard].c.Epoch()
+		e.batchLog(b)
+	}
+	return inserted, deleted
+}
+
+// applyRound applies one round to shard b.Shard: the insertion sub-batch if
+// b.HasIns, then the deletion sub-batch if b.HasDel, each one CPLDS batch
+// committing one epoch (the CPLDS drops self-loops, out-of-range endpoints,
+// duplicates and no-op edges). It returns the edges the round inserted into
+// and deleted from the global graph: those the shard owns, so a mirrored
+// cut edge counts once. Live rounds (Apply) and replayed ones (ApplyLogged)
+// both run here, so recovered and replicated counters equal the live ones.
+// Caller holds applyMu or is the single-threaded recovery.
+func (e *Engine) applyRound(b wal.Batch) (inserted, deleted int) {
+	s := e.shards[b.Shard]
 	if b.HasIns {
-		inserted = s.c.InsertBatch(b.Ins)
-		s.batches.Add(1)
+		applied := s.c.InsertBatch(b.Ins)
+		inserted = e.ownedApplied(s, applied)
+		s.inserted.Add(int64(applied))
+		s.localEdges.Add(int64(applied))
 	}
 	if b.HasDel {
-		deleted = s.c.DeleteBatch(b.Del)
-		s.batches.Add(1)
+		applied := s.c.DeleteBatch(b.Del)
+		deleted = e.ownedApplied(s, applied)
+		s.deleted.Add(int64(applied))
+		s.localEdges.Add(-int64(applied))
 	}
-	s.inserted.Add(int64(inserted))
-	s.deleted.Add(int64(deleted))
 	net := int64(inserted - deleted)
-	s.localEdges.Add(net)
 	s.primaryEdges.Add(net)
 	e.numEdges.Add(net)
 	return inserted, deleted
 }
 
-// drainAndApplyLocked drains the shard's queue, coalesces the drained
-// sub-batches into one insert batch and one delete batch (latest
-// submission wins per edge), applies them to the shard's CPLDS, and
-// completes the drained sub-ops. Caller holds s.applyMu.
-func (s *shardState) drainAndApplyLocked(e *Engine) {
-	s.qmu.Lock()
-	subs := s.queue
-	s.queue = nil
-	s.qmu.Unlock()
-	if len(subs) == 0 {
-		return
+// ownedApplied returns how many of the applied edges of s's last CPLDS batch
+// s owns, i.e. whose lower endpoint it owns: every one when P = 1, else a
+// count over the canonical entries of the batch's directed copies.
+func (e *Engine) ownedApplied(s *shardState, applied int) int {
+	if e.p == 1 {
+		return applied
 	}
-
-	// Coalesce: the queue is in global submission order, so iterating in
-	// order and overwriting implements latest-submission-wins.
-	type winner struct {
-		ent entry
-		sub *subOp
-	}
-	final := make(map[graph.Edge]winner, len(subs[0].entries))
-	for _, sub := range subs {
-		for _, ent := range sub.entries {
-			final[ent.e] = winner{ent: ent, sub: sub}
+	owned := 0
+	for _, ed := range s.c.Graph().LastBatchDirected() {
+		if ed.U < ed.V && e.ShardOf(ed.U) == s.idx {
+			owned++
 		}
 	}
-
-	var ins, del []graph.Edge
-	g := s.c.Graph() // quiescent: we are this shard's only updater
-	for ed, w := range final {
-		present := g.HasEdge(ed.U, ed.V)
-		if w.ent.kind == opInsert {
-			ins = append(ins, ed)
-			if w.ent.primary && !present {
-				w.sub.op.inserted.Add(1)
-				e.numEdges.Add(1)
-				s.primaryEdges.Add(1)
-			}
-		} else {
-			del = append(del, ed)
-			if w.ent.primary && present {
-				w.sub.op.deleted.Add(1)
-				e.numEdges.Add(-1)
-				s.primaryEdges.Add(-1)
-			}
-		}
-	}
-	if len(ins) > 0 {
-		applied := int64(s.c.InsertBatch(ins))
-		s.inserted.Add(applied)
-		s.localEdges.Add(applied)
-	}
-	if len(del) > 0 {
-		applied := int64(s.c.DeleteBatch(del))
-		s.deleted.Add(applied)
-		s.localEdges.Add(-applied)
-	}
-	s.batches.Add(1)
-	// Log the committed round before acknowledging the submissions, so a
-	// caller's return implies its batch is in the log (durable, under the
-	// fsync-always policy). The slices alias this round's buffers; the
-	// logger serializes them before returning.
-	if e.batchLog != nil {
-		e.batchLog(wal.Batch{
-			Shard:  s.idx,
-			Epoch:  s.c.Epoch(),
-			Ins:    ins,
-			Del:    del,
-			HasIns: len(ins) > 0,
-			HasDel: len(del) > 0,
-		})
-	}
-	for _, sub := range subs {
-		sub.done.Store(true)
-	}
+	return owned
 }
 
 // Stats is a point-in-time snapshot of one shard's load — the observability
@@ -748,7 +655,7 @@ type Stats struct {
 	OwnedVertices int    `json:"owned_vertices"` // vertices hashed to this shard
 	PrimaryEdges  int64  `json:"primary_edges"`  // distinct global edges it owns
 	LocalEdges    int64  `json:"local_edges"`    // edges in its subgraph (incl. mirrored cut edges)
-	Batches       uint64 `json:"batches"`        // update batches applied (see Engine.Batches)
+	Batches       uint64 `json:"batches"`        // CPLDS batches committed: the shard's local epoch
 	Inserted      int64  `json:"edges_inserted"` // cumulative edges applied locally
 	Deleted       int64  `json:"edges_deleted"`
 }
@@ -763,7 +670,7 @@ func (e *Engine) Stats() []Stats {
 			OwnedVertices: e.owned[si],
 			PrimaryEdges:  s.primaryEdges.Load(),
 			LocalEdges:    s.localEdges.Load(),
-			Batches:       s.batches.Load(),
+			Batches:       s.c.Epoch(),
 			Inserted:      s.inserted.Load(),
 			Deleted:       s.deleted.Load(),
 		}
@@ -777,18 +684,6 @@ func (e *Engine) Stats() []Stats {
 // its owning shard's subgraph). Quiescent use only.
 func (e *Engine) Degree(v uint32) int {
 	return e.shards[e.ShardOf(v)].c.Graph().Degree(v)
-}
-
-// IncidentEdges returns the edges incident to v (from its owning shard,
-// which holds all of them). Quiescent use only: it iterates the shard's
-// adjacency maps, which concurrent update submissions mutate.
-func (e *Engine) IncidentEdges(v uint32) []graph.Edge {
-	var out []graph.Edge
-	e.shards[e.ShardOf(v)].c.Graph().Neighbors(v, func(w uint32) bool {
-		out = append(out, graph.Edge{U: v, V: w})
-		return true
-	})
-	return out
 }
 
 // GlobalEdges returns every distinct edge of the global graph in canonical

@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"kcore/internal/graph"
 	"kcore/internal/lds"
 	"kcore/internal/parallel"
+	"kcore/internal/wal"
 )
 
 func defaultP() lds.Params { return lds.DefaultParams() }
@@ -66,10 +68,10 @@ func slidingWindow(n, pool int, seed int64) []graph.Edge {
 
 // TestSingleShardMatchesCPLDS: one shard is a CPLDS behind a mutex, so
 // after every batch of a sliding window it must hold the levels, epoch,
-// batch number, edge count and load stats of a bare CPLDS fed the same
-// sub-batches. The batches carry duplicates, self-loops, out-of-range
-// endpoints and an edge that is both inserted and deleted; a coalescing
-// P = 1 path would dedupe the last one and count one batch per round.
+// edge count and load stats of a bare CPLDS fed the same sub-batches. The
+// batches carry duplicates, self-loops, out-of-range endpoints and an edge
+// that is both inserted and deleted; a deduping path would drop the
+// insertion of the last one and count one batch per round.
 func TestSingleShardMatchesCPLDS(t *testing.T) {
 	n, pool, live, k, slides := 2000, 12000, 6000, 200, 30
 	if testing.Short() {
@@ -95,15 +97,15 @@ func TestSingleShardMatchesCPLDS(t *testing.T) {
 		}
 		want.Inserted += int64(wi)
 		want.Deleted += int64(wd)
-		want.Batches = c.BatchNumber()
+		want.Batches = c.Epoch()
 		want.LocalEdges = c.Graph().NumEdges()
 		want.PrimaryEdges = want.LocalEdges
 		if st := e.Stats()[0]; st != want {
 			t.Fatalf("stats %+v, want %+v", st, want)
 		}
-		if e.Epoch() != c.Epoch() || e.Batches() != c.BatchNumber() || e.NumEdges() != want.LocalEdges {
-			t.Fatalf("epoch %d, batches %d, edges %d; the CPLDS has %d, %d, %d",
-				e.Epoch(), e.Batches(), e.NumEdges(), c.Epoch(), c.BatchNumber(), want.LocalEdges)
+		if e.Epoch() != c.Epoch() || e.NumEdges() != want.LocalEdges {
+			t.Fatalf("epoch %d, edges %d; the CPLDS has %d, %d",
+				e.Epoch(), e.NumEdges(), c.Epoch(), want.LocalEdges)
 		}
 		e.LocalCPLDS(0).Levels(got)
 		c.Levels(ref)
@@ -191,19 +193,18 @@ func TestApplyDedupesInsertDeletePairs(t *testing.T) {
 	const n = 100
 	e := New(n, 4, defaultP())
 
-	// Same edge inserted and deleted in one submission: the coalescer keeps
-	// only the deletion, the later sub-batch, and since the edge was never
-	// present, neither side counts. (At P = 1 the pair is inserted and then
-	// deleted, counting on both sides; see TestSingleShardMatchesCPLDS.)
+	// Same edge inserted and deleted in one submission: as at P = 1 (see
+	// TestSingleShardMatchesCPLDS), the insertion sub-batch adds it and the
+	// deletion sub-batch removes it, counting on both sides.
 	ins, del := e.Apply([]graph.Edge{{U: 1, V: 2}}, []graph.Edge{{U: 2, V: 1}})
-	if ins != 0 || del != 0 {
-		t.Fatalf("insert+delete of absent edge applied (%d,%d), want (0,0)", ins, del)
+	if ins != 1 || del != 1 {
+		t.Fatalf("insert+delete of absent edge applied (%d,%d), want (1,1)", ins, del)
 	}
 	if e.LocalGraph(e.ShardOf(1)).HasEdge(1, 2) {
 		t.Fatal("edge survived an insert+delete pair")
 	}
 
-	// Present edge: the pair nets out to a deletion.
+	// Present edge: the insertion is a no-op and the deletion removes it.
 	e.Insert([]graph.Edge{{U: 1, V: 2}})
 	ins, del = e.Apply([]graph.Edge{{U: 1, V: 2}}, []graph.Edge{{U: 1, V: 2}})
 	if ins != 0 || del != 1 {
@@ -213,6 +214,111 @@ func TestApplyDedupesInsertDeletePairs(t *testing.T) {
 		t.Fatalf("NumEdges %d, want 0", got)
 	}
 	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestApplySameAtEveryShardCount: an update call means the same at every
+// shard count. Seeded mixed calls whose lists overlap and carry
+// duplicates, self-loops and out-of-range endpoints run on P = 1 and P = 3.
+// After every call both engines report the same (inserted, deleted), edge
+// count and global edge list, and the invariants hold. Epochs are not
+// compared across P (a cut edge commits on two shards): each engine's
+// epoch must advance by its own sub-batch count, one per non-empty list at
+// P = 1 and one per touched shard and list at P = 3. Finally the P = 3
+// batch log, replayed into a fresh engine, reproduces its load stats and
+// levels.
+func TestApplySameAtEveryShardCount(t *testing.T) {
+	const n, calls = 60, 50
+	rng := rand.New(rand.NewSource(29))
+	one, three := New(n, 1, defaultP()), New(n, 3, defaultP())
+	var mu sync.Mutex // rounds of distinct shards log concurrently
+	var records []wal.Batch
+	three.SetBatchLog(func(b wal.Batch) {
+		b.Ins, b.Del = slices.Clone(b.Ins), slices.Clone(b.Del)
+		mu.Lock()
+		records = append(records, b)
+		mu.Unlock()
+	})
+	edge := func() graph.Edge {
+		switch rng.Intn(20) {
+		case 0:
+			v := uint32(rng.Intn(n))
+			return graph.Edge{U: v, V: v}
+		case 1:
+			return graph.Edge{U: uint32(rng.Intn(n)), V: uint32(n + rng.Intn(4))}
+		}
+		return graph.Edge{U: uint32(rng.Intn(n)), V: uint32(rng.Intn(n))}
+	}
+	subBatches := func(e *Engine, ins, del []graph.Edge) uint64 {
+		var count uint64
+		for _, edges := range [2][]graph.Edge{ins, del} {
+			if e.NumShards() == 1 {
+				if len(edges) > 0 {
+					count++
+				}
+				continue
+			}
+			touched := make(map[int]bool)
+			for _, ed := range edges {
+				if !ed.IsSelfLoop() && ed.U < n && ed.V < n {
+					touched[e.ShardOf(ed.U)], touched[e.ShardOf(ed.V)] = true, true
+				}
+			}
+			count += uint64(len(touched))
+		}
+		return count
+	}
+	for c := 0; c < calls; c++ {
+		var ins, del []graph.Edge
+		for i := rng.Intn(30); i > 0; i-- {
+			ins = append(ins, edge())
+		}
+		for i := rng.Intn(20); i > 0; i-- {
+			del = append(del, edge())
+		}
+		for i := 0; i < len(ins) && i < 3; i++ { // inserted and deleted in one call
+			del = append(del, graph.Edge{U: ins[i].V, V: ins[i].U})
+		}
+		if len(ins) > 1 {
+			ins = append(ins, ins[1]) // duplicate
+		}
+		want1 := one.Epoch() + subBatches(one, ins, del)
+		want3 := three.Epoch() + subBatches(three, ins, del)
+		i1, d1 := one.Apply(ins, del)
+		i3, d3 := three.Apply(ins, del)
+		if i1 != i3 || d1 != d3 {
+			t.Fatalf("call %d: P=1 applied (%d,%d), P=3 (%d,%d)", c, i1, d1, i3, d3)
+		}
+		if one.NumEdges() != three.NumEdges() || !slices.Equal(one.GlobalEdges(), three.GlobalEdges()) {
+			t.Fatalf("call %d: P=1 has %d edges, P=3 %d, or the edge lists differ", c, one.NumEdges(), three.NumEdges())
+		}
+		if one.Epoch() != want1 || three.Epoch() != want3 {
+			t.Fatalf("call %d: epochs %d (P=1) and %d (P=3), want %d and %d", c, one.Epoch(), three.Epoch(), want1, want3)
+		}
+		for _, e := range []*Engine{one, three} {
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatalf("call %d, P=%d: %v", c, e.NumShards(), err)
+			}
+		}
+	}
+
+	replay := New(n, 3, defaultP())
+	for _, b := range records {
+		replay.ApplyLogged(b)
+	}
+	if got, want := replay.Stats(), three.Stats(); !slices.Equal(got, want) {
+		t.Fatalf("replayed stats %+v, live %+v", got, want)
+	}
+	got, want := make([]int32, n), make([]int32, n)
+	for si := 0; si < 3; si++ {
+		replay.LocalCPLDS(si).Levels(got)
+		three.LocalCPLDS(si).Levels(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("shard %d: replayed levels differ from the live ones", si)
+		}
+	}
+	if err := replay.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -34,14 +34,15 @@ func shardStateSize(n int, st ShardState) int {
 	return 40 + 4*n + 4*len(st.Graph.Targets) + 4*n
 }
 
-// putShardState encodes one shard-state block — epoch u64, batches u64,
-// inserted i64, deleted i64, targetsLen u64, degrees [n]u32, targets
-// [targetsLen]u32, levels [n]i32 — into buf at off, returning the offset
-// past the block. buf must have room (shardStateSize).
+// putShardState encodes one shard-state block — epoch u64, epoch again
+// u64 (the slot of a retired batch counter, kept so the format does not
+// change), inserted i64, deleted i64, targetsLen u64, degrees [n]u32,
+// targets [targetsLen]u32, levels [n]i32 — into buf at off, returning the
+// offset past the block. buf must have room (shardStateSize).
 func putShardState(buf []byte, off, n int, st ShardState) int {
 	le := binary.LittleEndian
 	le.PutUint64(buf[off:], st.Epoch)
-	le.PutUint64(buf[off+8:], st.Batches)
+	le.PutUint64(buf[off+8:], st.Epoch)
 	le.PutUint64(buf[off+16:], uint64(st.Inserted))
 	le.PutUint64(buf[off+24:], uint64(st.Deleted))
 	le.PutUint64(buf[off+32:], uint64(len(st.Graph.Targets)))
@@ -61,9 +62,10 @@ func putShardState(buf []byte, off, n int, st ShardState) int {
 	return off
 }
 
-// getShardState decodes one shard-state block from buf[pos:end]. Every
-// length is bounds-checked against end before use, so corrupt input can
-// only fail the read, never demand an oversized allocation.
+// getShardState decodes one shard-state block from buf[pos:end], skipping
+// the retired batch-counter slot (see putShardState). Every length is
+// bounds-checked against end before use, so corrupt input can only fail
+// the read, never demand an oversized allocation.
 func getShardState(buf []byte, pos, end, n int) (ShardState, int, error) {
 	le := binary.LittleEndian
 	if pos+40 > end {
@@ -71,7 +73,6 @@ func getShardState(buf []byte, pos, end, n int) (ShardState, int, error) {
 	}
 	st := ShardState{
 		Epoch:    le.Uint64(buf[pos:]),
-		Batches:  le.Uint64(buf[pos+8:]),
 		Inserted: int64(le.Uint64(buf[pos+16:])),
 		Deleted:  int64(le.Uint64(buf[pos+24:])),
 	}

@@ -313,7 +313,7 @@ func TestShardStateMarshalRoundTrip(t *testing.T) {
 	if used != len(buf) {
 		t.Fatalf("consumed %d of %d bytes", used, len(buf))
 	}
-	if got.Epoch != st.Epoch || got.Batches != st.Batches || got.Inserted != st.Inserted {
+	if got.Epoch != st.Epoch || got.Inserted != st.Inserted || got.Deleted != st.Deleted {
 		t.Fatalf("counters differ: %+v vs %+v", got, st)
 	}
 	if !reflect.DeepEqual(got.Levels, st.Levels) {

@@ -9,12 +9,13 @@
 // tests pin down). Durability therefore reduces to logging the *applied*
 // batch stream: after every committed round the engine hands the WAL one
 // Batch — the shard it ran on, the shard's post-round local epoch, and the
-// round's insert/delete sub-batches (as submitted with one shard,
-// coalesced with more). The WAL encodes it once into its CRC-framed record
-// (a Record), appends those bytes to a segmented log, and only then
-// publishes the same bytes to the replication tail (see stream.go). In
-// sharded mode each shard's records are appended in its local commit order
-// (the hook runs inside the shard's one-updater section), so the log is a
+// round's insert/delete sub-batches (as submitted with one shard, routed
+// to the shard in submission order with more). The WAL encodes it once
+// into its CRC-framed record (a Record), appends those bytes to a
+// segmented log, and only then publishes the same bytes to the replication
+// tail (see stream.go). In sharded mode each shard's records are appended
+// in its local commit order (the hook runs under the engine's apply lock,
+// in the goroutine running that shard's round), so the log is a
 // linearization of the per-shard commit streams — exactly the
 // commit-vector order the multi-version vector log assigns to global
 // epochs.
@@ -178,7 +179,6 @@ type ShardState struct {
 	Graph             *graph.CSR
 	Levels            []int32
 	Epoch             uint64
-	Batches           uint64
 	Inserted, Deleted int64
 }
 
@@ -195,12 +195,13 @@ type ShardState struct {
 type Engine interface {
 	NumVertices() int
 	NumShards() int
-	// SetBatchLog installs fn, invoked synchronously inside the shard's
-	// one-updater section after every committed batch; the Batch's edge
-	// slices are only valid for the duration of the call. nil uninstalls.
+	// SetBatchLog installs fn, invoked synchronously under the engine's
+	// update lock after every committed round (concurrently for distinct
+	// shards); the Batch's edge slices are only valid for the duration of
+	// the call. nil uninstalls.
 	SetBatchLog(fn func(Batch))
-	// Quiesce runs f while every shard's updater is excluded: no batch is
-	// in flight and none can start until f returns.
+	// Quiesce runs f while every updater is excluded: no batch is in
+	// flight and none can start until f returns.
 	Quiesce(f func())
 	// ApplyLogged re-applies one logged batch through the normal batch
 	// path, with the same accounting as the live path.
@@ -325,11 +326,11 @@ func Open(dir string, eng Engine, opt Options) (*Manager, error) {
 }
 
 // onBatch encodes one committed batch, appends the record to the log, and
-// then publishes the same bytes to the tail. It runs inside the committing
-// shard's one-updater section, so per-shard records land in commit order
-// on disk and on the stream. While degraded it drops the record from the
-// log (the batch is still applied in memory, and still shipped) instead of
-// hammering a broken disk from the hot path.
+// then publishes the same bytes to the tail. It runs under the engine's
+// update lock, in the goroutine that ran the round, so per-shard records
+// land in commit order on disk and on the stream. While degraded it drops
+// the record from the log (the batch is still applied in memory, and still
+// shipped) instead of hammering a broken disk from the hot path.
 func (m *Manager) onBatch(b Batch) {
 	rec := m.tail.encode(b)
 	// Publish once the append has returned, whatever its outcome.
@@ -345,8 +346,8 @@ func (m *Manager) onBatch(b Batch) {
 		return
 	}
 	if m.opt.SnapshotEvery > 0 && m.sinceSnap.Add(1) >= m.opt.SnapshotEvery {
-		// Trigger asynchronously: this hook runs under a shard's apply
-		// lock, and Snapshot quiesces all shards — inline it would
+		// Trigger asynchronously: this hook runs under the engine's apply
+		// lock, and Snapshot quiesces the engine — inline it would
 		// deadlock against ourselves.
 		if m.snapInFlight.CompareAndSwap(false, true) {
 			m.wg.Add(1)

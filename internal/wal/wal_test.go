@@ -56,8 +56,8 @@ func (f *fakeEngine) ShardDurable(si int) ShardState {
 		Graph:    graph.CSRFromEdges(f.n, []graph.Edge{{U: uint32(si), V: uint32(si + 1)}}),
 		Levels:   make([]int32, f.n),
 		Epoch:    f.epochs[si],
-		Batches:  uint64(len(f.applied[si])),
 		Inserted: int64(si),
+		Deleted:  int64(len(f.applied[si])),
 	}
 }
 
@@ -315,7 +315,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for si := range states {
 		want := states[si]
 		g := got[si]
-		if g.Epoch != want.Epoch || g.Batches != want.Batches || g.Inserted != want.Inserted {
+		if g.Epoch != want.Epoch || g.Inserted != want.Inserted || g.Deleted != want.Deleted {
 			t.Fatalf("shard %d: counters mismatch: %+v vs %+v", si, g, want)
 		}
 		if !reflect.DeepEqual(g.Graph.Offsets, want.Graph.Offsets) || !bytes.Equal(u32bytes(g.Graph.Targets), u32bytes(want.Graph.Targets)) {

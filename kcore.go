@@ -36,9 +36,9 @@
 // aged out fail with errors matching ErrEpochEvicted.
 //
 // Updates and reads may be issued from any number of goroutines at any
-// time, reads including concurrently with a running batch. With one shard
-// (the default) concurrent updates apply one after another; with
-// WithShards they are coalesced per shard.
+// time, reads including concurrently with a running batch. Concurrent
+// updates apply one after another, with the same semantics at every shard
+// count.
 package kcore
 
 import (
@@ -127,13 +127,13 @@ func WithWorkers(n int) Option {
 // The default, WithShards(1) (as is WithShards(0)), is one CPLDS behind a
 // mutex; negative p is rejected by New.
 //
-// With p > 1 a batch-coalescing scheduler fronts the shards: submissions
-// queued behind an in-flight batch are coalesced into per-shard sub-batches
-// (an edge both inserted and deleted in one call is only deleted) and
-// applied to the shards in parallel. Coreness reads stay lock-free and
-// route directly to the vertex's owning shard. The estimate returned for
-// v is then the (2+ε)-approximate coreness of v in its owning shard's
-// subgraph (all edges incident to the shard's vertices). Because that
+// With p > 1 each update call is split into per-shard sub-batches (a cut
+// edge goes to both its endpoints' shards) that the touched shards apply
+// in parallel; an update means the same at every p (see ApplyBatch).
+// Coreness reads stay lock-free and route directly to the vertex's owning
+// shard. The estimate returned for v is then the (2+ε)-approximate
+// coreness of v in its owning shard's subgraph (all edges incident to the
+// shard's vertices). Because that
 // subgraph's exact coreness never exceeds the global one, the estimate
 // still respects the upper side of the approximation bound against v's
 // global coreness, but it may undershoot the global value by more than the
@@ -293,12 +293,11 @@ func WithEventBuffer(n int) Option {
 // Decomposition maintains an approximate k-core decomposition of a dynamic
 // undirected graph. It runs on one engine (internal/shard) for every shard
 // count: one shard is a CPLDS behind a mutex, more shards add cut-edge
-// mirroring and a batch-coalescing scheduler.
+// mirroring.
 //
-// Concurrency: the edge-batch update methods (InsertEdges, DeleteEdges,
-// ApplyBatch — not RemoveVertex) are safe for concurrent callers; each call
-// is internally parallel. With one shard concurrent calls wait for each
-// other; with WithShards(p > 1) they are coalesced per shard. Coreness,
+// Concurrency: the update methods (InsertEdges, DeleteEdges, ApplyBatch,
+// RemoveVertex) are safe for concurrent callers; each call is internally
+// parallel, and concurrent calls wait for each other. Coreness,
 // CorenessNonLinearizable, CorenessBlocking, View and all View reads may
 // be called from any goroutine at any time.
 type Decomposition struct {
@@ -599,7 +598,7 @@ func (d *Decomposition) FeedStats() FeedStats { return d.hub.Stats() }
 func (d *Decomposition) Shards() int { return d.eng.NumShards() }
 
 // ShardLoad is a point-in-time load snapshot of one shard — its index,
-// owned vertices, primary and local (incl. mirrored cut) edges, applied
+// owned vertices, primary and local (incl. mirrored cut) edges, committed
 // batches and cumulative inserted/deleted edges: the observability surface
 // for spotting hot shards.
 type ShardLoad = shard.Stats
@@ -619,12 +618,6 @@ func (d *Decomposition) NumEdges() int64 { return d.eng.NumEdges() }
 // ApproxFactor returns the theoretical approximation factor of coreness
 // estimates (per shard, when sharded).
 func (d *Decomposition) ApproxFactor() float64 { return d.eng.ApproxFactor() }
-
-// BatchNumber returns the number of update batches processed so far: with
-// one shard every non-empty insertion or deletion sub-batch counts (so a
-// mixed ApplyBatch counts two), when sharded the coalesced per-shard
-// rounds are summed.
-func (d *Decomposition) BatchNumber() uint64 { return d.eng.Batches() }
 
 // Epoch returns the current committed epoch: the number of update batches
 // whose effects are fully visible to readers (summed across shards, when
@@ -679,11 +672,11 @@ func (d *Decomposition) DeleteEdges(edges []Edge) int {
 // the paper's model, the mix is processed as an insertion sub-batch
 // followed by a deletion sub-batch ("batches contain a mix of insertions
 // and deletions, which are separated into insertion and deletion
-// sub-batches during pre-processing", §2). It returns the number of edges
-// inserted and deleted. Concurrent reads remain linearizable; each
-// sub-batch is its own atomicity unit (per shard, when sharded) and
-// commits its own epoch. With WithShards(p > 1) the two sub-batches are
-// coalesced per shard, so an edge in both lists is only deleted.
+// sub-batches during pre-processing", §2), so an edge in both lists is
+// inserted and then deleted. It returns the number of edges inserted and
+// deleted. Concurrent reads remain linearizable; each sub-batch is its own
+// atomicity unit (per shard, when sharded) and commits its own epoch. The
+// semantics and the counts are the same at every shard count.
 func (d *Decomposition) ApplyBatch(insertions, deletions []Edge) (inserted, deleted int) {
 	if d.ReadOnly() {
 		return 0, 0
@@ -695,15 +688,14 @@ func (d *Decomposition) ApplyBatch(insertions, deletions []Edge) (inserted, dele
 // removing v from the graph (vertex ids are never recycled). This is the
 // vertex-deletion operation the paper notes batch-dynamic structures
 // support via edge updates (footnote 1). It returns the number of edges
-// removed. It must not run concurrently with any other update call — even
-// though the edge-batch operations accept concurrent callers — because the
-// incident-edge snapshot and the deletion batch are two steps; concurrent
-// reads stay linearizable throughout.
+// removed. Safe for concurrent callers: no other update applies between
+// collecting v's edges and deleting them. Concurrent reads stay
+// linearizable throughout.
 func (d *Decomposition) RemoveVertex(v uint32) int {
-	if d.ReadOnly() || int(v) >= d.eng.NumVertices() {
+	if d.ReadOnly() {
 		return 0
 	}
-	return d.eng.Delete(d.eng.IncidentEdges(v))
+	return d.eng.RemoveVertex(v)
 }
 
 // Coreness returns a linearizable (2+ε)-approximate coreness estimate for

@@ -47,8 +47,8 @@ func TestInsertDeleteAndCoreness(t *testing.T) {
 	if d.NumEdges() != 190 {
 		t.Fatalf("NumEdges = %d", d.NumEdges())
 	}
-	if d.BatchNumber() != 1 {
-		t.Fatalf("BatchNumber = %d", d.BatchNumber())
+	if d.Epoch() != 1 {
+		t.Fatalf("Epoch = %d", d.Epoch())
 	}
 	// Exact coreness of a 20-clique member is 19; the estimate must be
 	// within the approximation factor.
@@ -170,8 +170,8 @@ func TestApplyBatchMixed(t *testing.T) {
 	if d.NumEdges() != 45-20+3 {
 		t.Fatalf("NumEdges = %d", d.NumEdges())
 	}
-	if d.BatchNumber() != 3 {
-		t.Fatalf("BatchNumber = %d (insert + mixed insert + mixed delete)", d.BatchNumber())
+	if d.Epoch() != 3 {
+		t.Fatalf("Epoch = %d (insert + mixed insert + mixed delete)", d.Epoch())
 	}
 	if err := d.Check(); err != nil {
 		t.Fatal(err)
@@ -182,5 +182,55 @@ func TestOutOfRangeEdgesIgnored(t *testing.T) {
 	d, _ := New(3)
 	if n := d.InsertEdges([]Edge{{0, 9}, {7, 8}, {0, 1}}); n != 1 {
 		t.Fatalf("added = %d, want 1", n)
+	}
+}
+
+// TestRemoveVertexConcurrentWithUpdates: RemoveVertex is an update like the
+// edge-batch methods — racing it against ApplyBatch callers must neither
+// race (run under -race) nor lose count, at one shard and at three. The
+// updater keeps growing and pruning a star around vertex 0 while another
+// goroutine keeps removing vertex 0.
+func TestRemoveVertexConcurrentWithUpdates(t *testing.T) {
+	const n, rounds = 64, 60
+	for _, p := range []int{1, 3} {
+		d, err := New(n, WithShards(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var added, removed int64
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				var ins, del []Edge
+				for j := 0; j < 16; j++ {
+					ins = append(ins, Edge{U: 0, V: uint32(1 + (i*7+j*13)%(n-1))})
+					del = append(del, Edge{U: uint32(1 + (i*5+j*11)%(n-1)), V: 0})
+				}
+				in, out := d.ApplyBatch(ins, del)
+				added += int64(in)
+				removed += int64(out)
+			}
+		}()
+		var dropped int64
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				dropped += int64(d.RemoveVertex(0))
+			}
+		}()
+		wg.Wait()
+		dropped += int64(d.RemoveVertex(0))
+		if deg := d.Degree(0); deg != 0 {
+			t.Fatalf("P=%d: vertex 0 has degree %d after RemoveVertex", p, deg)
+		}
+		if got := d.NumEdges(); got != added-removed-dropped || got != 0 {
+			t.Fatalf("P=%d: %d edges; callers saw %d added, %d deleted, %d removed with the vertex",
+				p, got, added, removed, dropped)
+		}
+		if err := d.Check(); err != nil {
+			t.Fatalf("P=%d: %v", p, err)
+		}
 	}
 }

@@ -56,9 +56,8 @@ func TestOneShardDuplicateRoundsRecoverAndReplicate(t *testing.T) {
 		primary.ApplyBatch(op.ins, op.del)
 		batches += subBatches(op.ins, op.del)
 	}
-	if primary.BatchNumber() != batches || primary.Epoch() != batches {
-		t.Fatalf("batch number %d, epoch %d; want one per non-empty sub-batch, %d",
-			primary.BatchNumber(), primary.Epoch(), batches)
+	if primary.Epoch() != batches {
+		t.Fatalf("epoch %d; want one per non-empty sub-batch, %d", primary.Epoch(), batches)
 	}
 	if err := primary.Check(); err != nil {
 		t.Fatal(err)
@@ -95,7 +94,7 @@ func TestOneShardDuplicateRoundsRecoverAndReplicate(t *testing.T) {
 }
 
 // TestOneShardConcurrentUpdatersAndReaders: with one shard, concurrent
-// ApplyBatch callers are serialized, not coalesced — every call runs its
+// ApplyBatch callers are serialized — every call runs its
 // own sub-batches and gets its own exact counts — while readers keep
 // seeing committed epochs in order. Run it under -race.
 func TestOneShardConcurrentUpdatersAndReaders(t *testing.T) {
@@ -169,9 +168,8 @@ func TestOneShardConcurrentUpdatersAndReaders(t *testing.T) {
 	if got := d.NumEdges(); got != inserted-deleted {
 		t.Fatalf("NumEdges %d, callers saw %d inserted and %d deleted", got, inserted, deleted)
 	}
-	if d.BatchNumber() != batches || d.Epoch() != batches {
-		t.Fatalf("batch number %d, epoch %d; callers submitted %d sub-batches",
-			d.BatchNumber(), d.Epoch(), batches)
+	if d.Epoch() != batches {
+		t.Fatalf("epoch %d; callers submitted %d sub-batches", d.Epoch(), batches)
 	}
 	if st := d.ShardStats()[0]; st.Inserted != inserted || st.Deleted != deleted {
 		t.Fatalf("load %+v, callers saw %d inserted and %d deleted", st, inserted, deleted)

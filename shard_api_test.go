@@ -18,8 +18,7 @@ func TestWithShardsPublicAPI(t *testing.T) {
 		t.Fatalf("Shards() = %d, want 4", d.Shards())
 	}
 
-	// Concurrent writers: each inserts a disjoint path, legal only in
-	// sharded mode.
+	// Concurrent writers: each inserts a disjoint path.
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
@@ -57,10 +56,11 @@ func TestWithShardsPublicAPI(t *testing.T) {
 		}
 	}
 
-	// Mixed batch with an insert+delete pair that nets out.
+	// Mixed batch with an insert+delete pair: inserted, then deleted, as
+	// with one shard.
 	ins, del := d.ApplyBatch([]Edge{{U: 0, V: 2}, {U: 10, V: 12}}, []Edge{{U: 10, V: 12}})
-	if ins != 1 || del != 0 {
-		t.Fatalf("ApplyBatch = (%d,%d), want (1,0)", ins, del)
+	if ins != 2 || del != 1 {
+		t.Fatalf("ApplyBatch = (%d,%d), want (2,1)", ins, del)
 	}
 
 	// Exact coreness of the reassembled global graph: a path has max core 1,

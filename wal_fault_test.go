@@ -234,13 +234,13 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 	}
 	defer d2.Close()
 	got := captureState(d2)
-	if got.batches < 4 || got.batches > 12 {
-		t.Fatalf("recovered %d batches, want between 4 and 12", got.batches)
+	if got.epoch < 4 || got.epoch > 12 {
+		t.Fatalf("recovered %d batches, want between 4 and 12", got.epoch)
 	}
 	ref, err := New(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyScript(ref, script[:got.batches])
+	applyScript(ref, script[:got.epoch])
 	requireSameState(t, got, captureState(ref), "prefix after concurrent close")
 }
