@@ -47,10 +47,26 @@ func TestBatchNumberAdvances(t *testing.T) {
 	if c.BatchNumber() != 2 {
 		t.Fatalf("batch number = %d, want 2", c.BatchNumber())
 	}
-	// Empty batches still advance the counter (BatchStart always runs).
-	c.InsertBatch(nil)
-	if c.BatchNumber() != 3 {
-		t.Fatalf("batch number = %d, want 3", c.BatchNumber())
+	// A batch that changes no edge is no batch: empty, self-loop-only,
+	// re-inserting a present edge, deleting an absent one. None moves the
+	// batch number or commits an epoch.
+	c.InsertBatch([]graph.Edge{graph.E(2, 3)})
+	for i, noop := range []func() int{
+		func() int { return c.InsertBatch(nil) },
+		func() int { return c.DeleteBatch(nil) },
+		func() int { return c.InsertBatch([]graph.Edge{graph.E(4, 4), {U: 5, V: 99}}) },
+		func() int { return c.InsertBatch([]graph.Edge{graph.E(3, 2)}) },
+		func() int { return c.DeleteBatch([]graph.Edge{graph.E(0, 1)}) },
+	} {
+		if applied := noop(); applied != 0 {
+			t.Fatalf("no-op batch %d applied %d edges", i, applied)
+		}
+		if c.BatchNumber() != 3 || c.Epoch() != 3 {
+			t.Fatalf("no-op batch %d: batch number %d, epoch %d, want 3 and 3", i, c.BatchNumber(), c.Epoch())
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -322,7 +322,8 @@ func highestSupported(s *lds.Structure, ls []int32, from int32) int32 {
 	return 0
 }
 
-// batchStart runs common batch prologue and returns whether work remains.
+// batchStart opens a batch that changes the graph: the tracker's
+// BatchStart, and so the CPLDS gate and its commit, run only for those.
 func (p *PLDS) batchStart(kind Kind, applied []graph.Edge) {
 	p.batchID++
 	if p.tracker != nil {
@@ -337,9 +338,10 @@ func (p *PLDS) batchEnd(kind Kind) {
 	p.epoch.Add(1)
 }
 
-// Epoch returns the number of committed update batches: the epoch counter
-// is published once per batch, after every level change of the batch has
-// been applied (and after the tracker's BatchEnd hook has run). It is the
+// Epoch returns the number of committed update batches, each of which
+// changed the graph: the epoch counter is published once per batch, after
+// every level change of the batch has been applied (and after the
+// tracker's BatchEnd hook has run). It is the
 // plain-PLDS analogue of the CPLDS commit epoch — the CPLDS publishes its
 // own commit sequence from its BatchEnd hook for consistent-cut validation
 // and cross-checks the two counters' lockstep in CheckInvariants.
@@ -400,14 +402,15 @@ func (p *PLDS) noteMoves(c *SweepCounts, movers []uint32, kind Kind) {
 }
 
 // InsertBatch inserts a batch of edges and restores the invariants. It
-// returns the number of edges actually applied (after dedup/filtering).
+// returns the number of edges actually applied (after dedup/filtering). A
+// batch that applies none is not a batch: it commits no epoch.
 func (p *PLDS) InsertBatch(edges []graph.Edge) int {
 	fresh := p.g.InsertEdges(edges)
-	p.batchStart(Insert, fresh)
-	defer p.batchEnd(Insert)
 	if len(fresh) == 0 {
 		return 0
 	}
+	p.batchStart(Insert, fresh)
+	defer p.batchEnd(Insert)
 	// Adjust up counters for the new edges.
 	parallel.For(len(fresh), func(i int) {
 		e := fresh[i]
@@ -530,14 +533,15 @@ func (p *PLDS) InsertBatch(edges []graph.Edge) int {
 }
 
 // DeleteBatch deletes a batch of edges and restores the invariants. It
-// returns the number of edges actually removed.
+// returns the number of edges actually removed; removing none commits no
+// epoch.
 func (p *PLDS) DeleteBatch(edges []graph.Edge) int {
 	removed := p.g.DeleteEdges(edges)
-	p.batchStart(Delete, removed)
-	defer p.batchEnd(Delete)
 	if len(removed) == 0 {
 		return 0
 	}
+	p.batchStart(Delete, removed)
+	defer p.batchEnd(Delete)
 	// Adjust up counters for the removed edges.
 	parallel.For(len(removed), func(i int) {
 		e := removed[i]

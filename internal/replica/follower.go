@@ -120,12 +120,14 @@ type Follower struct {
 	// applied is the per-shard commit vector the engine has fully applied
 	// — the resume cursor. nil until the first bootstrap succeeds (a
 	// fresh process has no state worth resuming from); cleared again when
-	// the primary reports the cursor stale. Only the run goroutine touches
-	// it: stream() presents and advances it, run clears it. appliedID is
-	// the stream id of the primary incarnation the cursor's epochs belong
-	// to (from the stream header it bootstrapped under); a resume presents
-	// it so a restarted primary — whose recovered history the epochs may
-	// not match — rejects the cursor instead of splicing a divergent tail.
+	// the primary reports the cursor stale or a record misses its epoch.
+	// Only the run goroutine touches it: stream() presents and advances it
+	// and clears it on a missed epoch, run clears it when stale. appliedID
+	// is the stream id of the primary incarnation the cursor's epochs
+	// belong to (from the stream header it bootstrapped under); a resume
+	// presents it so a restarted primary — whose recovered history the
+	// epochs may not match — rejects the cursor instead of splicing a
+	// divergent tail.
 	applied   []uint64
 	appliedID uint64
 
@@ -432,6 +434,13 @@ func (f *Follower) stream() (synced bool, err error) {
 			// (which assume no concurrent apply) safe to use on a live
 			// follower.
 			f.eng.Quiesce(func() { f.eng.ApplyLogged(b) })
+			// Every record changed its shard's graph by one epoch per
+			// sub-batch, so landing elsewhere means this state is not the
+			// primary's: report it and bootstrap afresh, after a backoff.
+			if got := f.eng.ShardEpoch(b.Shard); got != b.Epoch {
+				f.applied, f.appliedID = nil, 0
+				return synced, fmt.Errorf("replica: shard %d at epoch %d after applying its record for epoch %d", b.Shard, got, b.Epoch)
+			}
 			f.applied[b.Shard] = b.Epoch
 			f.observePrimaryVec(f.applied)
 			f.records.Add(1)

@@ -1,11 +1,14 @@
 package replica_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -673,5 +676,90 @@ func TestKickDuringHeldApplyResumesOnce(t *testing.T) {
 	}
 	if applied := st.RecordsApplied - base.RecordsApplied; applied != committed {
 		t.Fatalf("follower applied %d records, want the %d committed", applied, committed)
+	}
+}
+
+// logTap is an engine whose batch log the test can call too, to ship a
+// record the engine never committed.
+type logTap struct {
+	*shard.Engine
+	log func(wal.Batch)
+}
+
+func (e *logTap) SetBatchLog(fn func(wal.Batch)) {
+	e.log = fn
+	e.Engine.SetBatchLog(fn)
+}
+
+// TestFollowerRebootstrapsOnMissedEpoch: every record changed its shard's
+// graph, so applying it must land the follower's shard on the record's
+// epoch. A forged record that skips an epoch does not: the follower
+// reports it in Err, drops its cursor and, after its backoff, bootstraps
+// afresh onto the primary's state.
+func TestFollowerRebootstrapsOnMissedEpoch(t *testing.T) {
+	const n = 120
+	primary := newEngine(n, 1)
+	primary.Insert([]graph.Edge{{U: 0, V: 1}})
+	tap := &logTap{Engine: primary}
+	src := wal.NewTailSource(tap)
+	srv := httptest.NewServer(replica.NewFeeder(src, replica.FeederOptions{Heartbeat: 10 * time.Millisecond}).Handler())
+	t.Cleanup(func() { srv.Close(); src.Close() })
+
+	opts := fastFollowerOpts()
+	opts.BackoffMin = time.Second // keeps the error visible before the re-bootstrap
+	follower := newEngine(n, 1)
+	fol, err := replica.StartFollower(follower, srv.URL, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+
+	forged := wal.Batch{Shard: 0, Epoch: primary.ShardEpoch(0) + 2, Ins: []graph.Edge{{U: 5, V: 6}}}
+	primary.Quiesce(func() { tap.log(forged) })
+	waitFor(t, 5*time.Second, "the missed epoch in Err", func() bool {
+		return strings.Contains(fol.Stats().Err, fmt.Sprintf("epoch %d after applying its record for epoch %d", forged.Epoch-1, forged.Epoch))
+	})
+	primary.Insert([]graph.Edge{{U: 1, V: 2}})
+	waitFor(t, 10*time.Second, "the re-bootstrap", func() bool {
+		st := fol.Stats()
+		return st.Bootstraps == 2 && st.Synced && st.Epoch == primary.Epoch()
+	})
+	expectParity(t, primary, follower)
+	if follower.LocalGraph(0).HasEdge(5, 6) {
+		t.Fatal("the forged edge survived the re-bootstrap")
+	}
+}
+
+// TestOldStreamVersionRefused: version 2 streams numbered epochs for
+// sub-batches that changed nothing, so neither side accepts a version-2
+// peer. A follower refuses a version-2 stream header, and a feeder answers
+// a version-2 resume request 400.
+func TestOldStreamVersionRefused(t *testing.T) {
+	const n, shards = 50, 1
+	header := func() []byte {
+		hdr := make([]byte, 24)
+		binary.LittleEndian.PutUint32(hdr[0:], 0x6b72706c) // "krpl"
+		binary.LittleEndian.PutUint32(hdr[4:], 2)
+		binary.LittleEndian.PutUint32(hdr[8:], n)
+		binary.LittleEndian.PutUint32(hdr[12:], shards)
+		return hdr
+	}
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.Write(header()) }))
+	defer old.Close()
+	opts := fastFollowerOpts()
+	opts.InitialSync = 300 * time.Millisecond
+	if _, err := replica.StartFollower(newEngine(n, shards), old.URL, opts); err == nil || !strings.Contains(err.Error(), "unsupported stream version 2") {
+		t.Fatalf("follower against a version-2 primary: %v", err)
+	}
+
+	_, srv, _ := startFeeder(t, newEngine(n, shards), replica.FeederOptions{})
+	resume := append(header(), make([]byte, 8*shards)...)
+	resp, err := http.Post(srv.URL+replica.StreamPath, "application/octet-stream", bytes.NewReader(resume))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("version-2 resume request answered %s, want 400", resp.Status)
 	}
 }

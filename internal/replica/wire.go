@@ -89,7 +89,7 @@ import (
 
 const (
 	streamMagic   = uint32(0x6b72706c) // "krpl"
-	streamVersion = uint32(2)
+	streamVersion = uint32(3)          // 3: record epochs count only sub-batches that changed the graph
 	streamHdrLen  = 24
 
 	frameHdrLen = 5 // [type u8][len u32]

@@ -21,9 +21,10 @@
 // call, as submitted, when P = 1), and the touched shards run their rounds
 // in parallel. Every round, live or replayed from a log, is the paper's
 // model: the insertion sub-batch, then the deletion sub-batch, each one
-// CPLDS batch committing one epoch on its shard. An edge in both lists of a
-// call is thus inserted and then deleted at every P, and the two mirror
-// copies of a cut edge see the same sequence of sub-batches.
+// CPLDS batch that commits one epoch on its shard if, and only if, it
+// changed the shard's graph. An edge in both lists of a call is thus
+// inserted and then deleted at every P, and the two mirror copies of a cut
+// edge see the same sequence of sub-batches.
 //
 // # Semantics
 //
@@ -160,8 +161,8 @@ func (e *Engine) ApproxFactor() float64 { return e.params.ApproxFactor() }
 func (e *Engine) NumEdges() int64 { return e.numEdges.Load() }
 
 // Epoch returns the cross-shard epoch: the total number of CPLDS batches
-// committed across all shards, advanced as each sub-batch commits on its
-// shard — i.e. exactly at batch boundaries.
+// committed across all shards, advanced as each sub-batch that changes its
+// shard's graph commits there — i.e. exactly at batch boundaries.
 //
 // A sum labels a cut unambiguously for the epochs reported by the pinned
 // read protocols. The per-shard committed counts form one monotone history
@@ -498,12 +499,14 @@ func (e *Engine) Delete(edges []graph.Edge) int {
 
 // Apply submits a mixed batch and returns the number of edges this call
 // actually inserted into and deleted from the global graph. Safe for
-// concurrent callers, which apply one after another. An all-empty
-// submission commits no epoch.
+// concurrent callers, which apply one after another.
 //
 // Every touched shard runs the call's insertions as one CPLDS batch and
 // then its deletions as another (see applyRound), so an edge in both lists
-// is inserted and then deleted, at every P.
+// is inserted and then deleted, at every P. Only a sub-batch that changes
+// its shard's graph commits an epoch: a call that changes nothing (empty
+// lists, self-loops, out-of-range endpoints, present edges re-inserted,
+// absent ones deleted) commits, logs and publishes nothing.
 func (e *Engine) Apply(insertions, deletions []graph.Edge) (inserted, deleted int) {
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
@@ -532,21 +535,18 @@ func (e *Engine) RemoveVertex(v uint32) int {
 
 // applyLocked applies one update call: with P = 1 its lists, as submitted,
 // are the one round; with P > 1 they are routed into one round per shard
-// and the touched shards run in parallel. Each committed round is logged
-// (SetBatchLog) before the call returns; an all-empty call commits and logs
-// nothing. Caller holds applyMu.
+// and the touched shards run in parallel. Each round that committed an
+// epoch is logged (SetBatchLog) before the call returns. Caller holds
+// applyMu.
 func (e *Engine) applyLocked(insertions, deletions []graph.Edge) (inserted, deleted int) {
-	if len(insertions) == 0 && len(deletions) == 0 {
-		return 0, 0
-	}
 	if e.p == 1 {
-		return e.applyLive(wal.Batch{Ins: insertions, Del: deletions, HasIns: len(insertions) > 0, HasDel: len(deletions) > 0})
+		return e.applyLive(wal.Batch{Ins: insertions, Del: deletions})
 	}
 	e.route(insertions, deletions)
 	var ins, del atomic.Int64
 	var work []func()
 	for si := range e.rounds {
-		if b := e.rounds[si]; b.HasIns || b.HasDel {
+		if b := e.rounds[si]; len(b.Ins)+len(b.Del) > 0 {
 			work = append(work, func() {
 				i, d := e.applyLive(b)
 				ins.Add(int64(i))
@@ -559,68 +559,63 @@ func (e *Engine) applyLocked(insertions, deletions []graph.Edge) (inserted, dele
 }
 
 // route splits a call's edges into e.rounds, one wal.Batch per shard, in
-// submission order: each edge in canonical form, self-loops and
-// out-of-range endpoints dropped, a cut edge routed to both its shards.
-// The rounds' edge buffers are reused across calls. Caller holds applyMu.
+// submission order and as submitted: each edge goes to the shard of each
+// endpoint, once when both agree, so a cut edge reaches both its shards.
+// It filters nothing; each shard's graph drops what does not count. The
+// rounds' edge buffers are reused across calls. Caller holds applyMu.
 func (e *Engine) route(insertions, deletions []graph.Edge) {
 	for si := range e.rounds {
 		b := &e.rounds[si]
 		*b = wal.Batch{Shard: si, Ins: b.Ins[:0], Del: b.Del[:0]}
 	}
-	put := func(si int, ed graph.Edge, del bool) {
-		b := &e.rounds[si]
-		if del {
-			b.Del, b.HasDel = append(b.Del, ed), true
-		} else {
-			b.Ins, b.HasIns = append(b.Ins, ed), true
+	for _, ed := range insertions {
+		su, sv := e.ShardOf(ed.U), e.ShardOf(ed.V)
+		e.rounds[su].Ins = append(e.rounds[su].Ins, ed)
+		if sv != su {
+			e.rounds[sv].Ins = append(e.rounds[sv].Ins, ed)
 		}
 	}
-	n := uint32(e.n)
-	for i, edges := range [2][]graph.Edge{insertions, deletions} {
-		for _, ed := range edges {
-			if ed.IsSelfLoop() || ed.U >= n || ed.V >= n {
-				continue
-			}
-			ed = ed.Canon()
-			su, sv := e.ShardOf(ed.U), e.ShardOf(ed.V)
-			put(su, ed, i == 1)
-			if sv != su {
-				put(sv, ed, i == 1)
-			}
+	for _, ed := range deletions {
+		su, sv := e.ShardOf(ed.U), e.ShardOf(ed.V)
+		e.rounds[su].Del = append(e.rounds[su].Del, ed)
+		if sv != su {
+			e.rounds[sv].Del = append(e.rounds[sv].Del, ed)
 		}
 	}
 }
 
-// applyLive runs one live round through applyRound and logs it. The record
-// aliases the round's buffers; the logger serializes it before returning,
-// so a caller's return implies its batch is in the log (durable, under the
-// fsync-always policy).
+// applyLive runs one live round through applyRound and logs it if it moved
+// the shard's epoch. The record aliases the round's buffers; the logger
+// serializes it before returning, so a caller's return implies its batch
+// is in the log (durable, under the fsync-always policy).
 func (e *Engine) applyLive(b wal.Batch) (inserted, deleted int) {
+	c := e.shards[b.Shard].c
+	before := c.Epoch()
 	inserted, deleted = e.applyRound(b)
-	if e.batchLog != nil {
-		b.Epoch = e.shards[b.Shard].c.Epoch()
+	if b.Epoch = c.Epoch(); e.batchLog != nil && b.Epoch != before {
 		e.batchLog(b)
 	}
 	return inserted, deleted
 }
 
-// applyRound applies one round to shard b.Shard: the insertion sub-batch if
-// b.HasIns, then the deletion sub-batch if b.HasDel, each one CPLDS batch
-// committing one epoch (the CPLDS drops self-loops, out-of-range endpoints,
-// duplicates and no-op edges). It returns the edges the round inserted into
+// applyRound applies one round to shard b.Shard: the insertion sub-batch,
+// then the deletion sub-batch, each one CPLDS batch. The shard's graph
+// alone decides which edges count (it drops self-loops, out-of-range
+// endpoints, duplicates and no-op edges), and a sub-batch commits an epoch
+// only if it changed the graph. It returns the edges the round inserted into
 // and deleted from the global graph: those the shard owns, so a mirrored
 // cut edge counts once. Live rounds (Apply) and replayed ones (ApplyLogged)
 // both run here, so recovered and replicated counters equal the live ones.
 // Caller holds applyMu or is the single-threaded recovery.
 func (e *Engine) applyRound(b wal.Batch) (inserted, deleted int) {
 	s := e.shards[b.Shard]
-	if b.HasIns {
+	if len(b.Ins) > 0 {
 		applied := s.c.InsertBatch(b.Ins)
 		inserted = e.ownedApplied(s, applied)
 		s.inserted.Add(int64(applied))
 		s.localEdges.Add(int64(applied))
 	}
-	if b.HasDel {
+	if len(b.Del) > 0 {
 		applied := s.c.DeleteBatch(b.Del)
 		deleted = e.ownedApplied(s, applied)
 		s.deleted.Add(int64(applied))

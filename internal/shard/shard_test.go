@@ -223,11 +223,11 @@ func TestApplyDedupesInsertDeletePairs(t *testing.T) {
 // duplicates, self-loops and out-of-range endpoints run on P = 1 and P = 3.
 // After every call both engines report the same (inserted, deleted), edge
 // count and global edge list, and the invariants hold. Epochs are not
-// compared across P (a cut edge commits on two shards): each engine's
-// epoch must advance by its own sub-batch count, one per non-empty list at
-// P = 1 and one per touched shard and list at P = 3. Finally the P = 3
-// batch log, replayed into a fresh engine, reproduces its load stats and
-// levels.
+// compared across P (a cut edge commits on two shards), but one model
+// holds at both: an engine's epoch advances by one per shard sub-batch that
+// changed that shard's graph, i.e. moved its Inserted or Deleted count, and
+// it logs one record per shard round that did. Finally the P = 3 batch log,
+// replayed into a fresh engine, reproduces its load stats and levels.
 func TestApplySameAtEveryShardCount(t *testing.T) {
 	const n, calls = 60, 50
 	rng := rand.New(rand.NewSource(29))
@@ -250,24 +250,22 @@ func TestApplySameAtEveryShardCount(t *testing.T) {
 		}
 		return graph.Edge{U: uint32(rng.Intn(n)), V: uint32(rng.Intn(n))}
 	}
-	subBatches := func(e *Engine, ins, del []graph.Edge) uint64 {
-		var count uint64
-		for _, edges := range [2][]graph.Edge{ins, del} {
-			if e.NumShards() == 1 {
-				if len(edges) > 0 {
-					count++
-				}
-				continue
+	// changed counts the shard sub-batches and the shard rounds that moved
+	// a shard's Inserted or Deleted count between two Stats snapshots.
+	changed := func(before, after []Stats) (subBatches, rounds uint64) {
+		for si := range before {
+			ins, del := after[si].Inserted != before[si].Inserted, after[si].Deleted != before[si].Deleted
+			if ins {
+				subBatches++
 			}
-			touched := make(map[int]bool)
-			for _, ed := range edges {
-				if !ed.IsSelfLoop() && ed.U < n && ed.V < n {
-					touched[e.ShardOf(ed.U)], touched[e.ShardOf(ed.V)] = true, true
-				}
+			if del {
+				subBatches++
 			}
-			count += uint64(len(touched))
+			if ins || del {
+				rounds++
+			}
 		}
-		return count
+		return subBatches, rounds
 	}
 	for c := 0; c < calls; c++ {
 		var ins, del []graph.Edge
@@ -283,18 +281,22 @@ func TestApplySameAtEveryShardCount(t *testing.T) {
 		if len(ins) > 1 {
 			ins = append(ins, ins[1]) // duplicate
 		}
-		want1 := one.Epoch() + subBatches(one, ins, del)
-		want3 := three.Epoch() + subBatches(three, ins, del)
+		ep1, ep3, st1, st3, logged := one.Epoch(), three.Epoch(), one.Stats(), three.Stats(), len(records)
 		i1, d1 := one.Apply(ins, del)
 		i3, d3 := three.Apply(ins, del)
+		sub1, _ := changed(st1, one.Stats())
+		sub3, rounds3 := changed(st3, three.Stats())
+		if one.Epoch() != ep1+sub1 || three.Epoch() != ep3+sub3 {
+			t.Fatalf("call %d: epochs %d (P=1) and %d (P=3), want %d and %d", c, one.Epoch(), three.Epoch(), ep1+sub1, ep3+sub3)
+		}
+		if got := uint64(len(records) - logged); got != rounds3 {
+			t.Fatalf("call %d: P=3 logged %d records for %d changing rounds", c, got, rounds3)
+		}
 		if i1 != i3 || d1 != d3 {
 			t.Fatalf("call %d: P=1 applied (%d,%d), P=3 (%d,%d)", c, i1, d1, i3, d3)
 		}
 		if one.NumEdges() != three.NumEdges() || !slices.Equal(one.GlobalEdges(), three.GlobalEdges()) {
 			t.Fatalf("call %d: P=1 has %d edges, P=3 %d, or the edge lists differ", c, one.NumEdges(), three.NumEdges())
-		}
-		if one.Epoch() != want1 || three.Epoch() != want3 {
-			t.Fatalf("call %d: epochs %d (P=1) and %d (P=3), want %d and %d", c, one.Epoch(), three.Epoch(), want1, want3)
 		}
 		for _, e := range []*Engine{one, three} {
 			if err := e.CheckInvariants(); err != nil {

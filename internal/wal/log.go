@@ -17,7 +17,7 @@ import (
 
 const (
 	segMagic   = uint32(0x6b77616c) // "kwal"
-	segVersion = uint32(1)
+	segVersion = uint32(2)          // 2: record epochs count only sub-batches that changed the graph
 	segHdrLen  = 16
 	frameLen   = 8 // [len u32][crc32 u32]
 
@@ -167,9 +167,9 @@ func listSegments(fsys faultfs.FS, dir string) ([]uint64, error) {
 // sequence order) through apply, handling a torn tail: the first invalid
 // frame truncates its segment at the record boundary and deletes every
 // later segment — the conservative prefix of the log is what recovery
-// sees. It returns the log opened for appending after the last intact
-// record.
-func scanAndOpen(dir string, n, shards int, opt Options, apply func(Batch)) (*segLog, uint64, error) {
+// sees. An error from apply fails the scan, naming the segment. It returns
+// the log opened for appending after the last intact record.
+func scanAndOpen(dir string, n, shards int, opt Options, apply func(Batch) error) (*segLog, uint64, error) {
 	fsys := opt.FS
 	seqs, err := listSegments(fsys, dir)
 	if err != nil {
@@ -224,7 +224,9 @@ func scanAndOpen(dir string, n, shards int, opt Options, apply func(Batch)) (*se
 				truncated = true
 				break
 			}
-			apply(rec)
+			if err := apply(rec); err != nil {
+				return nil, 0, fmt.Errorf("wal: %s: %w", path, err)
+			}
 			replayed++
 			off += n2
 		}

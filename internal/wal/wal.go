@@ -159,11 +159,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Batch is one committed engine batch: the unit the log records and
+// Batch is one committed engine round: the unit the log records and
 // recovery replays. Epoch is the shard's *local* committed epoch after the
-// batch applied. HasIns/HasDel record which sub-batches ran — an empty
-// sub-batch still commits an epoch, so presence cannot be inferred from
-// the edge counts.
+// round applied; a round is logged only if it moved that epoch, and each
+// of its sub-batches moved it by one if it changed the graph, so replaying
+// a record lands its shard on exactly Epoch. HasIns/HasDel are carried by
+// the record format but read by no engine: the edge lists say it all.
 type Batch struct {
 	Shard          int
 	Epoch          uint64
@@ -306,12 +307,20 @@ func Open(dir string, eng Engine, opt Options) (*Manager, error) {
 
 	// 2) Replay the log tail. Records already covered by the snapshot
 	// (at or below its per-shard epoch vector) are skipped; the epoch
-	// filter also makes replay idempotent across overlapping segments.
-	lg, replayed, err := scanAndOpen(dir, eng.NumVertices(), eng.NumShards(), opt, func(b Batch) {
-		if b.Epoch > vec[b.Shard] {
-			eng.ApplyLogged(b)
-			vec[b.Shard] = b.Epoch
+	// filter also makes replay idempotent across overlapping segments. A
+	// replayed record must land its shard on the record's epoch: every
+	// record changed its shard's graph, so anything else means the log and
+	// the state under it disagree, and later records would be misfiled.
+	lg, replayed, err := scanAndOpen(dir, eng.NumVertices(), eng.NumShards(), opt, func(b Batch) error {
+		if b.Epoch <= vec[b.Shard] {
+			return nil
 		}
+		eng.ApplyLogged(b)
+		if got := eng.ShardEpoch(b.Shard); got != b.Epoch {
+			return fmt.Errorf("shard %d at epoch %d after replaying its record for epoch %d", b.Shard, got, b.Epoch)
+		}
+		vec[b.Shard] = b.Epoch
+		return nil
 	})
 	if err != nil {
 		return nil, err

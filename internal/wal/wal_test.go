@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -90,7 +91,7 @@ func testBatches() []Batch {
 	return []Batch{
 		{Shard: 0, Epoch: 1, Ins: []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}, HasIns: true},
 		{Shard: 1, Epoch: 1, Ins: []graph.Edge{{U: 3, V: 4}}, HasIns: true},
-		{Shard: 0, Epoch: 2, HasIns: true}, // empty batch still commits an epoch
+		{Shard: 0, Epoch: 2, HasIns: true}, // a record without edges still round-trips
 		{Shard: 0, Epoch: 3, Del: []graph.Edge{{U: 0, V: 1}}, HasDel: true},
 		{Shard: 1, Epoch: 2, Ins: []graph.Edge{{U: 4, V: 5}}, Del: []graph.Edge{{U: 3, V: 4}}, HasIns: true, HasDel: true},
 	}
@@ -143,7 +144,7 @@ func TestDecodeRecordBoundsChecks(t *testing.T) {
 func writeTestLog(t *testing.T, batches []Batch) string {
 	t.Helper()
 	dir := t.TempDir()
-	lg, replayed, err := scanAndOpen(dir, 8, 2, Options{}.withDefaults(), func(Batch) {})
+	lg, replayed, err := scanAndOpen(dir, 8, 2, Options{}.withDefaults(), func(Batch) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +165,9 @@ func writeTestLog(t *testing.T, batches []Batch) string {
 func scanCount(t *testing.T, dir string) (int, []Batch) {
 	t.Helper()
 	var got []Batch
-	lg, replayed, err := scanAndOpen(dir, 8, 2, Options{}.withDefaults(), func(b Batch) {
+	lg, replayed, err := scanAndOpen(dir, 8, 2, Options{}.withDefaults(), func(b Batch) error {
 		got = append(got, cloneBatch(b))
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +199,34 @@ func normalize(b Batch) Batch {
 		b.Del = nil
 	}
 	return b
+}
+
+// TestScanRefusesVersion1Segment: a version-1 log may hold records of
+// sub-batches that changed nothing, whose epochs the engine no longer
+// commits; replaying it would leave the engine behind the record epochs.
+// Such a segment is refused whole, not replayed.
+func TestScanRefusesVersion1Segment(t *testing.T) {
+	dir := writeTestLog(t, testBatches())
+	path := filepath.Join(dir, segName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[4:], 1)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replayed := 0
+	_, _, err = scanAndOpen(dir, 8, 2, Options{}.withDefaults(), func(Batch) error {
+		replayed++
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("scan of a version-1 segment: %v", err)
+	}
+	if replayed != 0 {
+		t.Fatalf("replayed %d records of a version-1 segment", replayed)
+	}
 }
 
 func TestScanTruncatesTornTail(t *testing.T) {
@@ -257,7 +287,7 @@ func TestRotationAndSegmentScan(t *testing.T) {
 	// SegmentBytes small enough that every record rotates.
 	opt := Options{SegmentBytes: 1}
 	opt.SyncEvery = time.Hour
-	lg, _, err := scanAndOpen(dir, 8, 2, opt.withDefaults(), func(Batch) {})
+	lg, _, err := scanAndOpen(dir, 8, 2, opt.withDefaults(), func(Batch) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

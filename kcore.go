@@ -621,9 +621,10 @@ func (d *Decomposition) ApproxFactor() float64 { return d.eng.ApproxFactor() }
 
 // Epoch returns the current committed epoch: the number of update batches
 // whose effects are fully visible to readers (summed across shards, when
-// sharded). The epoch advances exactly at batch boundaries; every View read
-// reports the epoch of the cut it was served from. Safe to call at any
-// time.
+// sharded). The epoch advances exactly at batch boundaries, and only for a
+// batch that changed the graph: an update that adds or removes no edge
+// commits no epoch. Every View read reports the epoch of the cut it was
+// served from. Safe to call at any time.
 func (d *Decomposition) Epoch() uint64 { return d.eng.Epoch() }
 
 // RetainedEpochs returns the configured multi-version retention depth
@@ -647,8 +648,10 @@ func toInternal(edges []Edge) []graph.Edge {
 
 // InsertEdges applies a batch of edge insertions in parallel and returns
 // the number of edges actually added (self-loops, duplicates within the
-// batch, already-present edges and out-of-range endpoints are ignored).
-// Concurrent Coreness reads remain linearizable throughout the batch.
+// batch, already-present edges and out-of-range endpoints are ignored). A
+// call that adds none commits no epoch and is neither logged, replicated
+// nor published. Concurrent Coreness reads remain linearizable throughout
+// the batch.
 // On a replication follower (see ReadOnly) it is a no-op returning 0.
 func (d *Decomposition) InsertEdges(edges []Edge) int {
 	if d.ReadOnly() {
@@ -658,9 +661,9 @@ func (d *Decomposition) InsertEdges(edges []Edge) int {
 }
 
 // DeleteEdges applies a batch of edge deletions in parallel and returns the
-// number of edges actually removed. Concurrent Coreness reads remain
-// linearizable throughout the batch. On a replication follower (see
-// ReadOnly) it is a no-op returning 0.
+// number of edges actually removed; a call that removes none commits no
+// epoch. Concurrent Coreness reads remain linearizable throughout the
+// batch. On a replication follower (see ReadOnly) it is a no-op returning 0.
 func (d *Decomposition) DeleteEdges(edges []Edge) int {
 	if d.ReadOnly() {
 		return 0
@@ -675,7 +678,8 @@ func (d *Decomposition) DeleteEdges(edges []Edge) int {
 // sub-batches during pre-processing", §2), so an edge in both lists is
 // inserted and then deleted. It returns the number of edges inserted and
 // deleted. Concurrent reads remain linearizable; each sub-batch is its own
-// atomicity unit (per shard, when sharded) and commits its own epoch. The
+// atomicity unit (per shard, when sharded) and commits its own epoch if it
+// changed the graph (per shard, when sharded), and none otherwise. The
 // semantics and the counts are the same at every shard count.
 func (d *Decomposition) ApplyBatch(insertions, deletions []Edge) (inserted, deleted int) {
 	if d.ReadOnly() {
