@@ -29,7 +29,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table1, fig3, fig4, fig5, fig6, fig7, shardscale, ablation")
+	exp := flag.String("exp", "all", "experiment: all, table1, fig3, fig4, fig5, fig6, fig7, shardscale")
 	datasets := flag.String("datasets", "", "comma-separated dataset profiles (default per experiment)")
 	batchSizes := flag.String("batchsizes", "100,1000,10000,50000", "comma-separated batch sizes (fig4)")
 	threads := flag.String("threads", "1,2,4,8,15", "comma-separated thread counts (fig7)")
@@ -121,8 +121,6 @@ func run(exp string, datasets []string, batchSizes, threads, shards []int, cfg b
 		return bench.Figure7(w, pick(scaleDefault), threads, cfg)
 	case "shardscale":
 		return bench.FigureShards(w, pick(scaleDefault), shards, cfg)
-	case "ablation":
-		return bench.Ablation(w, pick(errorDefault), cfg)
 	case "all":
 		rows, err := bench.Table1(datasets)
 		if err != nil {
@@ -145,10 +143,7 @@ func run(exp string, datasets []string, batchSizes, threads, shards []int, cfg b
 		if err := bench.Figure7(w, pick(scaleDefault), threads, cfg); err != nil {
 			return err
 		}
-		if err := bench.FigureShards(w, pick(scaleDefault), shards, cfg); err != nil {
-			return err
-		}
-		return bench.Ablation(w, pick(errorDefault), cfg)
+		return bench.FigureShards(w, pick(scaleDefault), shards, cfg)
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)
 	}

@@ -7,7 +7,7 @@
 //   - CPLDS: the paper's data structure; reads use the linearizable
 //     lock-free protocol and may run at any time.
 //   - SyncReads: the synchronous baseline; reads generated during a batch
-//     block until the batch completes (original PLDS, no descriptors).
+//     block until the batch completes (original PLDS, no stamps).
 //   - NonSync: the unsynchronized baseline; reads return the instantaneous
 //     live level (original PLDS, non-linearizable).
 package bench
@@ -65,7 +65,7 @@ func (e *cpldsEngine) DeleteBatch(edges []graph.Edge) int { return e.c.DeleteBat
 func (e *cpldsEngine) Read(v uint32) float64              { return e.c.Read(v) }
 func (e *cpldsEngine) Snapshot() *graph.Dynamic           { return e.c.Graph() }
 
-// nonsyncEngine: plain PLDS (no descriptor overhead), unsynchronized reads.
+// nonsyncEngine: plain PLDS (no stamp overhead), unsynchronized reads.
 type nonsyncEngine struct{ p *plds.PLDS }
 
 func (e *nonsyncEngine) InsertBatch(edges []graph.Edge) int { return e.p.InsertBatch(edges) }

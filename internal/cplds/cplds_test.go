@@ -8,7 +8,6 @@ import (
 	"kcore/internal/gen"
 	"kcore/internal/graph"
 	"kcore/internal/lds"
-	"kcore/internal/plds"
 )
 
 func newC(n int) *CPLDS { return New(n, lds.DefaultParams()) }
@@ -36,20 +35,20 @@ func TestQuiescentReadsMatchLiveEstimates(t *testing.T) {
 
 func TestBatchNumberAdvances(t *testing.T) {
 	c := newC(10)
-	if c.BatchNumber() != 0 {
-		t.Fatalf("initial batch number = %d", c.BatchNumber())
+	if c.Epoch() != 0 {
+		t.Fatalf("initial epoch = %d", c.Epoch())
 	}
 	c.InsertBatch([]graph.Edge{graph.E(0, 1)})
-	if c.BatchNumber() != 1 {
-		t.Fatalf("batch number = %d, want 1", c.BatchNumber())
+	if c.Epoch() != 1 {
+		t.Fatalf("epoch = %d, want 1", c.Epoch())
 	}
 	c.DeleteBatch([]graph.Edge{graph.E(0, 1)})
-	if c.BatchNumber() != 2 {
-		t.Fatalf("batch number = %d, want 2", c.BatchNumber())
+	if c.Epoch() != 2 {
+		t.Fatalf("epoch = %d, want 2", c.Epoch())
 	}
 	// A batch that changes no edge is no batch: empty, self-loop-only,
-	// re-inserting a present edge, deleting an absent one. None moves the
-	// batch number or commits an epoch.
+	// re-inserting a present edge, deleting an absent one. None starts a
+	// batch or commits an epoch.
 	c.InsertBatch([]graph.Edge{graph.E(2, 3)})
 	for i, noop := range []func() int{
 		func() int { return c.InsertBatch(nil) },
@@ -61,8 +60,8 @@ func TestBatchNumberAdvances(t *testing.T) {
 		if applied := noop(); applied != 0 {
 			t.Fatalf("no-op batch %d applied %d edges", i, applied)
 		}
-		if c.BatchNumber() != 3 || c.Epoch() != 3 {
-			t.Fatalf("no-op batch %d: batch number %d, epoch %d, want 3 and 3", i, c.BatchNumber(), c.Epoch())
+		if c.Epoch() != 3 || c.seq.Load() != 6 {
+			t.Fatalf("no-op batch %d: epoch %d, seq %d, want 3 and 6", i, c.Epoch(), c.seq.Load())
 		}
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -70,32 +69,28 @@ func TestBatchNumberAdvances(t *testing.T) {
 	}
 }
 
-func TestDescriptorLifecycleAndOldLevels(t *testing.T) {
+// TestStampLifecycleAndOldLevels: at the end of a batch every mover is
+// stamped with the batch in flight and its mark holds its pre-batch level;
+// after the commit no vertex counts as marked.
+func TestStampLifecycleAndOldLevels(t *testing.T) {
 	const n = 200
 	c := newC(n)
 	base := gen.ChungLu(n, 1200, 2.3, 82)
 	c.InsertBatch(base)
 	pre := make([]int32, n)
-	for v := uint32(0); v < n; v++ {
-		pre[v] = c.P.Level(v)
-	}
+	c.Levels(pre)
 	var sawMarked int
-	c.beforeUnmark = func(kind plds.Kind, marked []uint32) {
+	checkMarksAtCommit(t, c, func(marked []uint32) {
 		sawMarked = len(marked)
 		for _, v := range marked {
-			d := c.DescriptorOf(v)
-			if d == nil {
-				t.Errorf("marked vertex %d has nil descriptor", v)
-				continue
-			}
-			if d.OldLevel() != pre[v] {
-				t.Errorf("vertex %d: OldLevel %d != pre-batch level %d", v, d.OldLevel(), pre[v])
+			if old := c.marks[v].old.Load(); old != pre[v] {
+				t.Errorf("vertex %d: old level %d != pre-batch level %d", v, old, pre[v])
 			}
 			if c.P.Level(v) == pre[v] {
 				t.Errorf("marked vertex %d did not actually change level", v)
 			}
 		}
-	}
+	})
 	more := gen.ChungLu(n, 1200, 2.3, 83)
 	c.InsertBatch(more)
 	if sawMarked == 0 {
@@ -108,91 +103,27 @@ func TestDescriptorLifecycleAndOldLevels(t *testing.T) {
 	}
 }
 
-func TestDAGRootsAreMinimumAndLemma63(t *testing.T) {
-	const n = 300
-	c := newC(n)
-	c.InsertBatch(gen.ChungLu(n, 1500, 2.3, 84))
-	checked := false
-	c.beforeUnmark = func(kind plds.Kind, marked []uint32) {
-		movedSet := map[uint32]bool{}
+// checkMarksAtCommit installs a beforeCommit hook that checks the batch's
+// movers are distinct and stamped with the batch in flight, then calls
+// then, if non-nil.
+func checkMarksAtCommit(t testing.TB, c *CPLDS, then func(marked []uint32)) {
+	c.beforeCommit = func(marked []uint32) {
+		seen := make(map[uint32]bool, len(marked))
 		for _, v := range marked {
-			movedSet[v] = true
-		}
-		root := map[uint32]uint32{}
-		for _, v := range marked {
-			r, ok := c.findRoot(v)
-			if !ok {
-				t.Errorf("findRoot failed for marked vertex %d", v)
-				continue
+			if seen[v] {
+				t.Errorf("vertex %d marked twice", v)
 			}
-			root[v] = r
-			d := c.DescriptorOf(r)
-			if d == nil {
-				t.Errorf("root %d of %d is unmarked", r, v)
-				continue
-			}
-			if p, isRoot := d.Parent(); !isRoot {
-				t.Errorf("root %d of %d has parent %d", r, v, p)
-			}
-			if r > v {
-				t.Errorf("root %d greater than member %d (deterministic min-link violated)", r, v)
-			}
-			checked = true
-		}
-		// Lemma 6.3: no batch edge with both endpoints moved crosses DAGs.
-		for _, de := range c.batchDir {
-			u, w := de.U, de.V
-			if movedSet[u] && movedSet[w] && root[u] != root[w] {
-				t.Errorf("batch edge (%d,%d) crosses DAGs: roots %d vs %d",
-					u, w, root[u], root[w])
+			seen[v] = true
+			if !c.IsMarked(v) {
+				t.Errorf("mover %d is not stamped with the batch in flight", v)
 			}
 		}
-	}
-	c.InsertBatch(gen.ChungLu(n, 1500, 2.3, 85))
-	if !checked {
-		t.Fatal("no DAGs formed")
+		if then != nil {
+			then(marked)
+		}
 	}
 }
 
-func TestLemma63UnderDeletions(t *testing.T) {
-	const n = 300
-	c := newC(n)
-	edges := gen.ChungLu(n, 2500, 2.3, 86)
-	c.InsertBatch(edges)
-	var anyMarked atomic.Bool
-	c.beforeUnmark = func(kind plds.Kind, marked []uint32) {
-		if kind != plds.Delete {
-			return
-		}
-		if len(marked) > 0 {
-			anyMarked.Store(true)
-		}
-		movedSet := map[uint32]bool{}
-		for _, v := range marked {
-			movedSet[v] = true
-		}
-		root := map[uint32]uint32{}
-		for _, v := range marked {
-			if r, ok := c.findRoot(v); ok {
-				root[v] = r
-			}
-		}
-		for _, de := range c.batchDir {
-			u, w := de.U, de.V
-			if movedSet[u] && movedSet[w] && root[u] != root[w] {
-				t.Errorf("deleted edge (%d,%d) crosses DAGs", u, w)
-			}
-		}
-	}
-	c.DeleteBatch(edges[:len(edges)/2])
-	if !anyMarked.Load() {
-		t.Fatal("deletion batch marked no vertices")
-	}
-}
-
-// buildCascade returns a CPLDS and a batch whose insertion forces vertex 0
-// (and a cluster around it) to climb several levels: a clique among
-// vertices 0..k-1 is inserted in one batch on an empty region.
 func buildCascade(n, k int) (*CPLDS, []graph.Edge) {
 	c := newC(n)
 	var batch []graph.Edge
@@ -310,18 +241,13 @@ func TestNonSyncDoesObserveIntermediates(t *testing.T) {
 }
 
 func TestNoNewOldInversion(t *testing.T) {
-	// Linearizability across causally dependent vertices: once any reader
-	// has seen a post-batch level of any vertex in a dependency DAG, no
-	// later read may return a pre-batch level of a vertex in the same DAG.
-	// With a single clique batch, all movers belong to one DAG (every batch
-	// edge connects movers — Lemma 6.3), so the check applies globally.
+	// Whole-batch atomicity: once a reader has seen a post-batch level of
+	// any mover, no later read may return a pre-batch level of another.
 	// Within one goroutine, a read is invoked strictly after the previous
 	// read responded, so program order is real-time order and the check is
-	// sound: once a goroutine has seen a post-batch level of any vertex in
-	// the (single, clique-wide) DAG, none of its later reads may return a
-	// pre-batch level of another member. Cross-goroutine order cannot be
-	// timestamped without instrumenting the reads themselves, so each
-	// goroutine is checked independently.
+	// sound. Cross-goroutine order cannot be timestamped without
+	// instrumenting the reads themselves, so each goroutine is checked
+	// independently.
 	const n = 64
 	const k = 40
 	trials := 20
@@ -384,12 +310,12 @@ func TestNoNewOldInversion(t *testing.T) {
 func TestConcurrentReadersManyBatches(t *testing.T) {
 	// End-to-end stress under the race detector: continuous linearizable,
 	// sync and non-sync readers against a stream of insert and delete
-	// batches; every batch's marked DAG must be valid before its unmark,
-	// and afterwards the structure must be unmarked, invariant-clean, and
-	// reads must agree with live levels.
+	// batches; every batch's movers must be stamped before its commit, and
+	// afterwards no vertex may count as marked, the structure must be
+	// invariant-clean, and reads must agree with live levels.
 	const n = 500
 	c := newC(n)
-	checkDAGAtUnmark(t, c, nil)
+	checkMarksAtCommit(t, c, nil)
 	edges := gen.ChungLu(n, 4000, 2.3, 87)
 	us := gen.NewUpdateStream(edges, n, 0.25, 400, 88)
 	c.InsertBatch(us.Base)
@@ -442,55 +368,6 @@ func TestConcurrentReadersManyBatches(t *testing.T) {
 	}
 }
 
-func TestUnionDeterministicRoot(t *testing.T) {
-	c := newC(10)
-	// Manually mark three vertices (via their pooled descriptors) and
-	// union them pairwise.
-	for _, v := range []uint32{3, 5, 7} {
-		d := &c.pool[v]
-		d.word.Store(packWord(c.stamp, Root))
-		c.desc[v].Store(d)
-	}
-	c.union(5, 7)
-	c.union(7, 3)
-	for _, v := range []uint32{3, 5, 7} {
-		r, ok := c.findRoot(v)
-		if !ok || r != 3 {
-			t.Fatalf("root of %d = %d (ok=%v), want 3", v, r, ok)
-		}
-	}
-	// check_DAG sees all three as marked.
-	for _, v := range []uint32{3, 5, 7} {
-		if c.checkDAG(c.desc[v].Load()) != Marked {
-			t.Fatalf("vertex %d not marked via DAG", v)
-		}
-	}
-	// Unmark the root: all become unmarked via the early-exit rule.
-	c.desc[3].Store(nil)
-	if c.checkDAG(c.desc[5].Load()) != Unmarked {
-		t.Fatal("unmarked root not detected from non-root")
-	}
-}
-
-func TestCheckDAGPathCompression(t *testing.T) {
-	c := newC(10)
-	// Chain 0 <- 1 <- 2 (2's parent is 1, 1's parent is 0).
-	for _, v := range []uint32{0, 1, 2} {
-		d := &c.pool[v]
-		d.word.Store(packWord(c.stamp, Root))
-		c.desc[v].Store(d)
-	}
-	c.desc[1].Load().word.Store(packWord(c.stamp, 0))
-	c.desc[2].Load().word.Store(packWord(c.stamp, 1))
-	if c.checkDAG(c.desc[2].Load()) != Marked {
-		t.Fatal("chain should be marked")
-	}
-	// After checkDAG, vertex 2 should point directly at the root 0.
-	if p, _ := c.desc[2].Load().Parent(); p != 0 {
-		t.Fatalf("path not compressed: parent of 2 = %d, want 0", p)
-	}
-}
-
 func TestReadLockFreeUnderIdleSystem(t *testing.T) {
 	// With no concurrent batch, a read must complete on the first attempt
 	// (trivially, but this pins the fast path).
@@ -521,7 +398,7 @@ func TestSyncReadsBlockDuringBatch(t *testing.T) {
 			<-started
 			syncLevelEst = c.ReadSync(0)
 		}()
-		c.beforeUnmark = func(plds.Kind, []uint32) {
+		c.beforeCommit = func([]uint32) {
 			// The batch is provably in flight here; release the reader.
 			select {
 			case <-started:
@@ -549,6 +426,66 @@ func TestApproximationBoundHeldByReads(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestDeletionStampsRecordPreBatchLevels(t *testing.T) {
+	const n = 200
+	c := newC(n)
+	edges := gen.ChungLu(n, 2000, 2.3, 95)
+	c.InsertBatch(edges)
+	pre := make([]int32, n)
+	c.Levels(pre)
+	verified := 0
+	checkMarksAtCommit(t, c, func(marked []uint32) {
+		for _, v := range marked {
+			if old := c.marks[v].old.Load(); old != pre[v] {
+				t.Errorf("deletion: vertex %d old level %d != pre %d", v, old, pre[v])
+			}
+			if c.P.Level(v) >= pre[v] {
+				t.Errorf("deletion mover %d did not move down (pre %d, now %d)", v, pre[v], c.P.Level(v))
+			}
+			verified++
+		}
+	})
+	c.DeleteBatch(edges[:1500])
+	if verified == 0 {
+		t.Fatal("no deletion movers to verify")
+	}
+}
+
+func TestReadRetriesCounter(t *testing.T) {
+	c := newC(50)
+	c.InsertBatch(gen.ErdosRenyi(50, 200, 96))
+	if c.ReadRetries() != 0 {
+		t.Fatalf("retries before any contention = %d", c.ReadRetries())
+	}
+	// Quiescent reads never retry.
+	for v := uint32(0); v < 50; v++ {
+		c.Read(v)
+	}
+	if c.ReadRetries() != 0 {
+		t.Fatalf("quiescent reads retried %d times", c.ReadRetries())
+	}
+}
+
+func TestParamsVariants(t *testing.T) {
+	// The protocol must hold for non-default approximation parameters too.
+	for _, p := range []lds.Params{
+		{Delta: 0.4, Lambda: 3},
+		{Delta: 0.1, Lambda: 20},
+		{Delta: 1.0, Lambda: 1},
+	} {
+		c := New(120, p)
+		edges := gen.ErdosRenyi(120, 900, 97)
+		c.InsertBatch(edges)
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("params %+v: %v", p, err)
+		}
+		c.DeleteBatch(edges[:450])
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("params %+v after delete: %v", p, err)
+		}
 	}
 }
 

@@ -1,11 +1,15 @@
 package cplds
 
 import (
+	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 )
 
 // blockWait is how long a test watches a batch that must stay blocked
@@ -31,10 +35,7 @@ func TestCutGatedAttempt(t *testing.T) {
 	}
 	next := 1
 	for attempt := 0; attempt < pinnedAttempts; attempt++ {
-		seq, ok := c.CutBegin(attempt)
-		if !ok {
-			t.Fatalf("attempt %d: CutBegin reports an unmark phase at quiescence", attempt)
-		}
+		seq, _ := c.CutBegin(attempt)
 		collect()
 		c.InsertBatch(batches[next])
 		next++
@@ -43,14 +44,10 @@ func TestCutGatedAttempt(t *testing.T) {
 		}
 	}
 
-	seq, ok := c.CutBegin(pinnedAttempts)
-	if !ok {
-		t.Fatal("the gated attempt did not open")
+	seq, epoch := c.CutBegin(pinnedAttempts)
+	if got, want := epoch, c.Epoch(); got != want || seq&1 != 0 {
+		t.Fatalf("gated attempt at epoch %d (seq %d), committed %d", got, seq, want)
 	}
-	if got, want := seq>>1, c.Epoch(); got != want {
-		t.Fatalf("gated attempt at epoch %d, committed %d", got, want)
-	}
-	batchNum := c.BatchNumber()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -62,7 +59,7 @@ func TestCutGatedAttempt(t *testing.T) {
 		t.Fatal("a batch committed while the gated attempt held the gate")
 	case <-time.After(blockWait):
 	}
-	if c.BatchNumber() != batchNum {
+	if c.seq.Load() != seq {
 		t.Fatal("a batch started while the gated attempt held the gate")
 	}
 	want := make([]int32, n)
@@ -74,10 +71,108 @@ func TestCutGatedAttempt(t *testing.T) {
 		t.Fatal("the gated attempt failed validation")
 	}
 	<-done
-	if got, want := c.Epoch(), seq>>1+1; got != want {
+	if got, want := c.Epoch(), epoch+1; got != want {
 		t.Fatalf("epoch %d after the blocked batch, want %d", got, want)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreRacesPinnedReads races whole-structure pinned reads against
+// Restore. Two states A and B, built by the same number of batches over
+// different graphs, are restored in turn, either always at the same epoch
+// or each at a higher one. Every cut must be exactly the state restored at
+// the epoch it reports: a restore to the epoch a cut began at must not let
+// the cut validate with some vertices from before the restore and some
+// from after.
+func TestRestoreRacesPinnedReads(t *testing.T) {
+	const n = 3000
+	type state struct {
+		csr    *graph.CSR
+		levels []int32
+		est    []float64
+	}
+	build := func(seed int64) state {
+		c := newC(n)
+		for _, b := range gen.Batches(gen.ChungLu(n, 8*n, 2.3, seed), 4*n) {
+			c.InsertBatch(b)
+		}
+		s := state{csr: c.Graph().Snapshot(), levels: make([]int32, n), est: make([]float64, n)}
+		c.Levels(s.levels)
+		for v, l := range s.levels {
+			s.est[v] = c.S.EstimateFromLevel(l)
+		}
+		return s
+	}
+	states := [2]state{build(71), build(72)}
+	if slices.Equal(states[0].est, states[1].est) {
+		t.Fatal("the two restored states read the same")
+	}
+	const base = 2 // the epoch both states were built at
+	restores := 200
+	if testing.Short() {
+		restores = 40
+	}
+	for _, higher := range []bool{false, true} {
+		t.Run(fmt.Sprintf("higher=%v", higher), func(t *testing.T) {
+			c := newC(n)
+			if err := c.Restore(states[0].csr, states[0].levels, base); err != nil {
+				t.Fatal(err)
+			}
+			// stateAt names the state restored at an epoch; with equal
+			// epochs every cut is one whole state, either one.
+			stateAt := func(epoch uint64, out []float64) bool {
+				if !higher {
+					return slices.Equal(out, states[0].est) || slices.Equal(out, states[1].est)
+				}
+				return slices.Equal(out, states[(epoch-base)%2].est)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			var cuts atomic.Int64
+			errc := make(chan error, 2)
+			for range 2 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					out := make([]float64, n)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if epoch := c.ReadAllPinned(out); !stateAt(epoch, out) {
+							errc <- fmt.Errorf("cut at epoch %d is no restored state", epoch)
+							return
+						}
+						cuts.Add(1)
+					}
+				}()
+			}
+			for i := 1; i <= restores; i++ {
+				epoch := uint64(base)
+				if higher {
+					epoch += uint64(i)
+				}
+				s := states[i%2]
+				if err := c.Restore(s.csr, s.levels, epoch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(stop)
+			wg.Wait()
+			close(errc)
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+			if cuts.Load() == 0 {
+				t.Fatal("no cut completed")
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

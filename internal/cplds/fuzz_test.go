@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzBatchSequences drives the CPLDS with arbitrary interleavings of
-// insertion and deletion batches and requires a valid marked DAG before
-// every unmark, and clean invariants and fully unmarked descriptors after
+// insertion and deletion batches and requires every mover to be stamped
+// before each commit, and clean invariants and no marked vertex after
 // every batch.
 func FuzzBatchSequences(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 1, 2, 3, 1, 0, 1})
@@ -17,7 +17,7 @@ func FuzzBatchSequences(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 24
 		c := New(n, lds.DefaultParams())
-		checkDAGAtUnmark(t, c, nil)
+		checkMarksAtCommit(t, c, nil)
 		var batch []graph.Edge
 		flushInsert := true
 		for i := 0; i+1 < len(data); i += 2 {

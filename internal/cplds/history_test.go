@@ -22,12 +22,6 @@ import (
 // the run each logged value is checked against the level vector the writer
 // recorded at each committed epoch.
 
-// window reports the committed epoch of c and whether a batch is in flight.
-func window(c *cplds.CPLDS) (epoch uint64, inFlight bool) {
-	seq, _ := c.CutBegin(0)
-	return seq >> 1, seq&1 == 1
-}
-
 // historyTarget is one engine under test: the CPLDS directly, or a
 // one-shard shard.Engine in front of it. Values are levels for the CPLDS
 // and estimates for the engine; est maps a value to its estimate, which is
@@ -100,34 +94,14 @@ type atLog struct {
 	err   error
 }
 
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// historyForm selects what the checker demands of concurrent reads.
-type historyForm int
-
-const (
-	// perRead: each read returns v's level at some epoch committed or
-	// being committed during the read.
-	perRead historyForm = iota
-	// wholeBatch: each read returns v's level at an epoch committed during
-	// the read, and each reader's reads are in non-decreasing epoch order
-	// (a batch becomes visible all at once).
-	wholeBatch
-)
-
 // runHistory applies the seeded mixed batches to tgt while readers log,
 // then checks every log against the recorded per-epoch values and the
 // final estimates against exact coreness.
-func runHistory(t *testing.T, tgt historyTarget, n int, p lds.Params, form historyForm, seed int64) {
+func runHistory(t *testing.T, tgt historyTarget, n int, p lds.Params, seed int64) {
 	const (
 		readers  = 2
 		retain   = 64
-		perState = 256 // logged reads per reader per commit state
+		perState = 256 // logged reads per reader per seq value
 	)
 	tgt.c.SetRetainedEpochs(retain)
 	batches := gen.MixedBatches(gen.ChungLu(n, 8*n, 2.3, seed), n/10, 0.4, seed+1)
@@ -166,7 +140,7 @@ func runHistory(t *testing.T, tgt historyTarget, n int, p lds.Params, form histo
 				if i%64 == 63 {
 					// A retained read one to four epochs back from the
 					// epoch just observed.
-					cur, _ := window(tgt.c)
+					_, cur := tgt.c.CutBegin(0)
 					d := uint64(1 + rng.Intn(4))
 					if cur < d {
 						continue
@@ -181,19 +155,16 @@ func runHistory(t *testing.T, tgt historyTarget, n int, p lds.Params, form histo
 					continue
 				}
 				v := uint32(rng.Intn(n))
-				lo, loFlight := window(tgt.c)
-				if state := 2*lo + b2u(loFlight); state != seen {
-					seen, inState = state, 0
+				seq, lo := tgt.c.CutBegin(0) // the optimistic attempt only reads seq
+				if seq != seen {
+					seen, inState = seq, 0
 				} else if inState == perState {
 					runtime.Gosched() // enough reads of this state; let the writer move
 					continue
 				}
 				inState++
 				val := tgt.read(v)
-				hi, inFlight := window(tgt.c)
-				if form == perRead && inFlight {
-					hi++ // the batch being committed may be partly visible
-				}
+				_, hi := tgt.c.CutBegin(0)
 				logs[r] = append(logs[r], readLog{v, val, lo, hi})
 			}
 		}(r)
@@ -210,29 +181,27 @@ func runHistory(t *testing.T, tgt historyTarget, n int, p lds.Params, form histo
 	if err := tgt.c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	checkReads(t, logs, history, form)
+	checkReads(t, logs, history)
 	checkAtReads(t, tgt.est, atLogs, history)
 	checkApprox(t, tgt, n, p)
 }
 
-// checkReads checks every logged single read against the history. In the
-// whole-batch form it also assigns each reader's reads non-decreasing
-// epochs, greedily taking the lowest epoch that fits each read: a reader
+// checkReads checks every logged single read against the history: each
+// read must return v's value at an epoch committed during the read, and
+// each reader's reads must fit non-decreasing epochs, which the check
+// assigns greedily, taking the lowest epoch that fits each read. A reader
 // that saw some vertex's value after batch e and then another mover of
-// batch e at its value before e has no such assignment.
-func checkReads(t *testing.T, logs [][]readLog, history map[uint64][]float64, form historyForm) {
+// batch e at its value before e has no such assignment: whole batches
+// become visible at once.
+func checkReads(t *testing.T, logs [][]readLog, history map[uint64][]float64) {
 	t.Helper()
 	total := 0
 	for r, rl := range logs {
 		total += len(rl)
 		floor := uint64(0)
 		for i, l := range rl {
-			from := l.lo
-			if form == wholeBatch {
-				from = max(from, floor)
-			}
 			at, ok := uint64(0), false
-			for e := from; e <= l.hi; e++ {
+			for e := max(l.lo, floor); e <= l.hi; e++ {
 				if vals, rec := history[e]; rec && vals[l.v] == l.val {
 					at, ok = e, true
 					break
@@ -310,7 +279,7 @@ func TestHistoryLinearizableReads(t *testing.T) {
 		} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
 				parallel.SetWorkers(workers)
-				runHistory(t, mk(n, p), n, p, perRead, int64(100+workers))
+				runHistory(t, mk(n, p), n, p, int64(100+workers))
 			})
 		}
 	}

@@ -7,15 +7,14 @@ import (
 	"kcore/internal/graph"
 	"kcore/internal/lds"
 	"kcore/internal/parallel"
-	"kcore/internal/plds"
 )
 
 // TestConcurrentMarkingLargeCascade forces a round with far more movers
 // than the parallel runtime's sequential grain, so VertexMoving runs from
 // many goroutines at once: the lock-free marked arena (atomic cursor into a
-// preallocated buffer), the pooled descriptors and the flat batch-edge
-// index are all exercised by genuinely concurrent markers, with
-// linearizable readers racing the batch. Run under -race in CI.
+// preallocated buffer) and the per-vertex stamps are exercised by genuinely
+// concurrent markers, with linearizable readers racing the batch. Run
+// under -race in CI.
 func TestConcurrentMarkingLargeCascade(t *testing.T) {
 	oldWorkers := parallel.Workers()
 	parallel.SetWorkers(4)
@@ -38,20 +37,7 @@ func TestConcurrentMarkingLargeCascade(t *testing.T) {
 	}
 
 	var markedSeen int
-	checkDAGAtUnmark(t, c, func(kind plds.Kind, marked []uint32) {
-		markedSeen = len(marked)
-		// Every marked vertex must occupy exactly one arena slot.
-		seen := make(map[uint32]bool, len(marked))
-		for _, v := range marked {
-			if seen[v] {
-				t.Errorf("vertex %d marked twice", v)
-			}
-			seen[v] = true
-			if c.DescriptorOf(v) == nil {
-				t.Errorf("marked vertex %d has nil descriptor", v)
-			}
-		}
-	})
+	checkMarksAtCommit(t, c, func(marked []uint32) { markedSeen = len(marked) })
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -69,7 +55,7 @@ func TestConcurrentMarkingLargeCascade(t *testing.T) {
 			}
 		}(r)
 	}
-	// Several batches so descriptors are recycled through the pool while
+	// Several batches so stamps and old levels are overwritten while
 	// readers race: insert, delete, re-insert.
 	c.InsertBatch(batch)
 	if markedSeen < 512 {

@@ -29,8 +29,9 @@
 //
 // The implementation exposes a Tracker interface with hooks at batch start,
 // first vertex move, and batch end. The CPLDS (internal/cplds) uses these
-// hooks to maintain operation descriptors and dependency DAGs for its
-// concurrent reads; the plain PLDS passes a nil tracker.
+// hooks to stamp each mover with its batch and pre-batch level and to
+// commit the batch for its concurrent reads; the plain PLDS passes a nil
+// tracker.
 package plds
 
 import (

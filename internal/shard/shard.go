@@ -229,15 +229,10 @@ func (e *Engine) readPinned(collect func()) uint64 {
 	}
 	for attempt := 0; ; attempt++ {
 		var epoch uint64
-		open := true
 		for i, s := range e.shards {
-			if seqs[i], open = s.c.CutBegin(attempt); !open {
-				break // an unmark phase is in flight; no gate is held
-			}
-			epoch += seqs[i] >> 1
-		}
-		if !open {
-			continue
+			var local uint64
+			seqs[i], local = s.c.CutBegin(attempt)
+			epoch += local
 		}
 		collect()
 		stable := true

@@ -150,8 +150,8 @@ func WithShards(p int) Option {
 //
 // Each retained epoch costs one delta per engine instance: the (vertex,
 // pre-batch level) undo records of that epoch's batch, captured at commit
-// from state the update already maintains (the batch's marked set and
-// descriptor pool), so the update hot path is unchanged. n = 0 disables
+// from state the update already maintains (the batch's movers and their
+// pre-batch levels), so the update hot path is unchanged. n = 0 disables
 // retention entirely — only the current epoch is servable and View.Pin
 // fails — which is the pre-multi-version behavior; negative n is rejected
 // by New. The default is DefaultRetainedEpochs.
