@@ -79,7 +79,7 @@ func TestCutGatedAttempt(t *testing.T) {
 	}
 }
 
-// TestRestoreRacesPinnedReads races whole-structure pinned reads against
+// TestRestoreRacesPinnedReads races pinned reads of every vertex against
 // Restore. Two states A and B, built by the same number of batches over
 // different graphs, are restored in turn, either always at the same epoch
 // or each at a higher one. Every cut must be exactly the state restored at
@@ -87,7 +87,7 @@ func TestCutGatedAttempt(t *testing.T) {
 // the cut validate with some vertices from before the restore and some
 // from after.
 func TestRestoreRacesPinnedReads(t *testing.T) {
-	const n = 3000
+	const n = 1000
 	type state struct {
 		csr    *graph.CSR
 		levels []int32
@@ -95,7 +95,7 @@ func TestRestoreRacesPinnedReads(t *testing.T) {
 	}
 	build := func(seed int64) state {
 		c := newC(n)
-		for _, b := range gen.Batches(gen.ChungLu(n, 8*n, 2.3, seed), 4*n) {
+		for _, b := range gen.Batches(gen.ChungLu(n, 2*n, 2.3, seed), n) {
 			c.InsertBatch(b)
 		}
 		s := state{csr: c.Graph().Snapshot(), levels: make([]int32, n), est: make([]float64, n)}
@@ -110,9 +110,9 @@ func TestRestoreRacesPinnedReads(t *testing.T) {
 		t.Fatal("the two restored states read the same")
 	}
 	const base = 2 // the epoch both states were built at
-	restores := 200
+	restores := 100
 	if testing.Short() {
-		restores = 40
+		restores = 30
 	}
 	for _, higher := range []bool{false, true} {
 		t.Run(fmt.Sprintf("higher=%v", higher), func(t *testing.T) {
@@ -132,19 +132,36 @@ func TestRestoreRacesPinnedReads(t *testing.T) {
 			var wg sync.WaitGroup
 			var cuts atomic.Int64
 			errc := make(chan error, 2)
-			for range 2 {
+			// One reader cuts every vertex once; the other cuts every
+			// vertex 32 times over, a collection long enough to span a
+			// whole restore.
+			for r, laps := range []int{1, 32} {
+				vs := make([]uint32, laps*n)
+				for i := range vs {
+					vs[i] = uint32(i % n)
+				}
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					out := make([]float64, n)
+					out := make([]float64, len(vs))
 					for {
 						select {
 						case <-stop:
 							return
 						default:
 						}
-						if epoch := c.ReadAllPinned(out); !stateAt(epoch, out) {
-							errc <- fmt.Errorf("cut at epoch %d is no restored state", epoch)
+						var epoch uint64
+						if r == 0 {
+							epoch = c.ReadAllPinned(out)
+						} else {
+							epoch = c.ReadManyPinned(vs, out)
+						}
+						torn := !stateAt(epoch, out[:n])
+						for l := 1; l < laps; l++ {
+							torn = torn || !slices.Equal(out[l*n:(l+1)*n], out[:n])
+						}
+						if torn {
+							errc <- fmt.Errorf("reader %d: cut at epoch %d is no restored state", r, epoch)
 							return
 						}
 						cuts.Add(1)

@@ -266,9 +266,9 @@ func checkApprox(t *testing.T, tgt historyTarget, n int, p lds.Params) {
 // TestHistoryLinearizableReads runs the history checker on the CPLDS and
 // on a one-shard engine, at two and four batch workers.
 func TestHistoryLinearizableReads(t *testing.T) {
-	n := 1000
+	n := 600
 	if testing.Short() {
-		n = 400
+		n = 300
 	}
 	p := lds.DefaultParams()
 	old := parallel.Workers()

@@ -1,6 +1,7 @@
 package cplds
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -52,6 +53,7 @@ func TestConcurrentMarkingLargeCascade(t *testing.T) {
 				default:
 				}
 				c.Read(uint32((i*7 + r) % n))
+				runtime.Gosched() // readers that never yield starve the batch's workers
 			}
 		}(r)
 	}
