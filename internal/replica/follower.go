@@ -93,6 +93,9 @@ type FollowerStats struct {
 	// no snapshot transfer, just the missed records.
 	Resumes    uint64 `json:"resumes"`
 	Reconnects uint64 `json:"reconnects"`
+	// Errors counts the connections that ended in an error; Err shows only
+	// the current one, which a later sync clears.
+	Errors uint64 `json:"errors"`
 
 	LastRecordUnixNano    int64  `json:"last_record_unix_nano,omitempty"`
 	LastHeartbeatUnixNano int64  `json:"last_heartbeat_unix_nano,omitempty"`
@@ -140,6 +143,7 @@ type Follower struct {
 	bootstraps atomic.Uint64
 	resumes    atomic.Uint64
 	reconnects atomic.Uint64
+	errs       atomic.Uint64
 	lastRec    atomic.Int64
 	lastHB     atomic.Int64
 	lastErr    atomic.Pointer[error]
@@ -219,6 +223,7 @@ func (f *Follower) Stats() FollowerStats {
 		Bootstraps:            f.bootstraps.Load(),
 		Resumes:               f.resumes.Load(),
 		Reconnects:            f.reconnects.Load(),
+		Errors:                f.errs.Load(),
 		LastRecordUnixNano:    f.lastRec.Load(),
 		LastHeartbeatUnixNano: f.lastHB.Load(),
 	}
@@ -266,6 +271,7 @@ func (f *Follower) run() {
 		if err != nil {
 			e := err
 			f.lastErr.Store(&e)
+			f.errs.Add(1)
 		}
 		f.reconnects.Add(1)
 		if synced {

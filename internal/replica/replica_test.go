@@ -695,7 +695,7 @@ func (e *logTap) SetBatchLog(fn func(wal.Batch)) {
 // graph, so applying it must land the follower's shard on the record's
 // epoch. A forged record that skips an epoch does not: the follower
 // reports it in Err, drops its cursor and, after its backoff, bootstraps
-// afresh onto the primary's state.
+// afresh onto the primary's state, still counting the error afterwards.
 func TestFollowerRebootstrapsOnMissedEpoch(t *testing.T) {
 	const n = 120
 	primary := newEngine(n, 1)
@@ -727,6 +727,10 @@ func TestFollowerRebootstrapsOnMissedEpoch(t *testing.T) {
 	expectParity(t, primary, follower)
 	if follower.LocalGraph(0).HasEdge(5, 6) {
 		t.Fatal("the forged edge survived the re-bootstrap")
+	}
+	// The re-sync cleared Err; the error count keeps the divergence visible.
+	if st := fol.Stats(); st.Errors < 1 || st.Err != "" {
+		t.Fatalf("after the re-sync: errors %d, err %q; want at least 1 and none current", st.Errors, st.Err)
 	}
 }
 

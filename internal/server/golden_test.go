@@ -92,7 +92,7 @@ var (
 		"replication", "replication.follower", "replication.follower.apply_rounds",
 		"replication.follower.bootstraps", "replication.follower.bytes_applied",
 		"replication.follower.bytes_received", "replication.follower.connected", "replication.follower.epoch",
-		"replication.follower.lag_bytes", "replication.follower.lag_epochs",
+		"replication.follower.errors", "replication.follower.lag_bytes", "replication.follower.lag_epochs",
 		"replication.follower.last_heartbeat_unix_nano", "replication.follower.last_record_unix_nano",
 		"replication.follower.primary", "replication.follower.primary_epoch",
 		"replication.follower.reconnects", "replication.follower.records_applied",
@@ -114,7 +114,7 @@ var (
 	}
 	goldenMetricsReplica = []string{
 		"kcore_replication_bootstraps_total gauge", "kcore_replication_bytes_received_total gauge",
-		"kcore_replication_connected gauge", "kcore_replication_lag_bytes gauge",
+		"kcore_replication_connected gauge", "kcore_replication_errors_total gauge", "kcore_replication_lag_bytes gauge",
 		"kcore_replication_lag_epochs gauge", "kcore_replication_records_applied_total gauge",
 		"kcore_replication_resumes_total gauge",
 	}

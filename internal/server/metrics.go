@@ -161,6 +161,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("kcore_replication_records_applied_total", "Batch records applied from the stream.", st.RecordsApplied)
 		gauge("kcore_replication_bootstraps_total", "Bootstraps applied (more than one means re-bootstraps).", st.Bootstraps)
 		gauge("kcore_replication_resumes_total", "Reconnects resumed from the applied vector (no snapshot transfer).", st.Resumes)
+		gauge("kcore_replication_errors_total", "Replication connections that ended in an error.", st.Errors)
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
