@@ -61,8 +61,8 @@ func BenchmarkHasEdge(b *testing.B) {
 	benchSink = uint64(hits)
 }
 
-// BenchmarkHasEdgeHighDegree probes membership on a single pathological
-// high-degree hub (the case the hash-index promotion exists for).
+// BenchmarkHasEdgeHighDegree probes membership on a single hub of degree
+// 200 k: the deepest binary search the batch filters can meet.
 func BenchmarkHasEdgeHighDegree(b *testing.B) {
 	const n = 200000
 	g := NewDynamic(n)

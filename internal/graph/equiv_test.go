@@ -95,9 +95,9 @@ func randomBatch(rng *rand.Rand, n, m int) []Edge {
 
 // TestHybridMatchesMapReference drives the hybrid adjacency and the map
 // reference with the same random interleaved insert/delete batches and
-// demands identical observable state after every batch. One seed uses a
-// hub-heavy distribution so the promotion/demotion path is crossed in both
-// directions.
+// demands identical observable state after every batch. The hub case
+// funnels half of every batch through vertex 0, so one vertex climbs far
+// above degree 1 024 and falls back while the others stay small.
 func TestHybridMatchesMapReference(t *testing.T) {
 	type cfg struct {
 		name    string
@@ -109,7 +109,7 @@ func TestHybridMatchesMapReference(t *testing.T) {
 	cfgs := []cfg{
 		{"small-dense", 24, 60, 40, false},
 		{"medium", 300, 40, 250, false},
-		{"hub-promotion", 3000, 12, 2600, true},
+		{"hub", 3000, 12, 2600, true},
 	}
 	if testing.Short() {
 		cfgs = cfgs[:2]
@@ -122,8 +122,7 @@ func TestHybridMatchesMapReference(t *testing.T) {
 			for b := 0; b < c.batches; b++ {
 				batch := randomBatch(rng, c.n, c.size)
 				if c.hubby {
-					// Funnel most edges through vertex 0 so its degree
-					// repeatedly crosses the promotion threshold.
+					// Funnel half of the edges through vertex 0.
 					for i := range batch {
 						if i%2 == 0 {
 							batch[i].U = 0
@@ -148,34 +147,35 @@ func TestHybridMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestPromotionThresholdCrossing pins the hash-index lifecycle: a vertex
-// promoted past promoteDegree keeps a consistent index, and deleting back
-// below demoteDegree drops it.
-func TestPromotionThresholdCrossing(t *testing.T) {
-	n := promoteDegree * 2
-	g := NewDynamic(n + 1)
+// TestHubGrowsAndShrinks builds a hub of degree 2 048 and deletes it back
+// down to 255; at both degrees it checks HasEdge both ways for every
+// candidate neighbour, and Validate.
+func TestHubGrowsAndShrinks(t *testing.T) {
+	const n = 2048
+	g := NewDynamic(n + 2)
 	batch := make([]Edge, 0, n)
 	for v := 1; v <= n; v++ {
 		batch = append(batch, Edge{U: 0, V: uint32(v)})
 	}
+	check := func(degree int) {
+		t.Helper()
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if g.Degree(0) != degree {
+			t.Fatalf("Degree(0) = %d, want %d", g.Degree(0), degree)
+		}
+		for v := 1; v <= n+1; v++ {
+			want := v > n-degree && v <= n
+			if g.HasEdge(0, uint32(v)) != want || g.HasEdge(uint32(v), 0) != want {
+				t.Fatalf("degree %d: HasEdge(0, %d) = %v, want %v", degree, v, !want, want)
+			}
+		}
+	}
 	g.InsertEdges(batch)
-	if g.adj[0].idx == nil {
-		t.Fatalf("degree %d vertex not promoted", g.Degree(0))
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Delete down to below the demotion floor.
-	g.DeleteEdges(batch[:n-demoteDegree+1])
-	if g.adj[0].idx != nil {
-		t.Fatalf("degree %d vertex not demoted", g.Degree(0))
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.Degree(0) != demoteDegree-1 {
-		t.Fatalf("Degree(0) = %d, want %d", g.Degree(0), demoteDegree-1)
-	}
+	check(n)
+	g.DeleteEdges(batch[:n-255])
+	check(255)
 }
 
 // FuzzHybridVsMapReference is the fuzz entry for the same equivalence

@@ -4,9 +4,10 @@
 // The dynamic representation is a hybrid adjacency engine: each vertex
 // stores its neighbours in a sorted flat []uint32 block, so Neighbors is a
 // cache-friendly linear scan and batch mutation is an amortized O(deg+b)
-// sorted merge. Membership tests are O(log deg) binary searches; vertices
-// whose degree crosses promoteDegree additionally maintain a hash side
-// index that makes HasEdge O(1) — the index is never the iteration path.
+// sorted merge. Membership is one O(log deg) binary search over the same
+// block at every degree: on the update path only the batch filters ask it,
+// and each is followed by the merge of the block it searched, so a faster
+// lookup could not make a batch cheaper.
 // Batch insertions and deletions are deduplicated, canonicalized and applied
 // with one goroutine per group of endpoints, so each adjacency block is
 // mutated by exactly one worker. This mirrors how the paper's GBBS-based
@@ -49,37 +50,20 @@ func cmpEdge(a, b Edge) int {
 	return cmp.Compare(a.V, b.V)
 }
 
-// promoteDegree is the degree above which a vertex maintains a hash side
-// index for O(1) HasEdge; demoteDegree is the hysteresis floor below which
-// the index is dropped again. Between the two, a promoted vertex keeps its
-// index. Only pathological high-degree vertices ever cross the threshold;
-// iteration always walks the flat sorted block regardless.
-const (
-	promoteDegree = 1024
-	demoteDegree  = promoteDegree / 4
-)
-
-// adjacency is one vertex's neighbourhood: a sorted flat block, plus an
-// optional hash index once the vertex is promoted.
+// adjacency is one vertex's neighbourhood: a sorted flat block.
 type adjacency struct {
-	nbrs []uint32            // sorted ascending
-	idx  map[uint32]struct{} // non-nil iff promoted; mirrors nbrs exactly
+	nbrs []uint32 // sorted ascending
 }
 
-// has reports membership using the hash index when promoted, binary search
-// otherwise.
+// has reports membership by binary search.
 func (a *adjacency) has(v uint32) bool {
-	if a.idx != nil {
-		_, ok := a.idx[v]
-		return ok
-	}
 	_, found := slices.BinarySearch(a.nbrs, v)
 	return found
 }
 
 // mergeInsert merges the sorted, deduplicated, guaranteed-absent values
 // vals into the sorted block in place (backward merge after a single
-// amortized grow), maintaining the hash index and the promotion state.
+// amortized grow).
 func (a *adjacency) mergeInsert(vals []Edge) {
 	n0, m := len(a.nbrs), len(vals)
 	nbrs := slices.Grow(a.nbrs, m)[:n0+m]
@@ -94,21 +78,10 @@ func (a *adjacency) mergeInsert(vals []Edge) {
 		}
 	}
 	a.nbrs = nbrs
-	if a.idx == nil && len(nbrs) > promoteDegree {
-		a.idx = make(map[uint32]struct{}, len(nbrs))
-		for _, w := range nbrs {
-			a.idx[w] = struct{}{}
-		}
-	} else if a.idx != nil {
-		for _, e := range vals {
-			a.idx[e.V] = struct{}{}
-		}
-	}
 }
 
 // mergeDelete removes the sorted, guaranteed-present values vals from the
-// sorted block with one compacting sweep, maintaining the hash index and
-// demoting when the degree falls below the hysteresis floor.
+// sorted block with one compacting sweep.
 func (a *adjacency) mergeDelete(vals []Edge) {
 	nbrs := a.nbrs
 	w, j := 0, 0
@@ -124,15 +97,6 @@ func (a *adjacency) mergeDelete(vals []Edge) {
 		w++
 	}
 	a.nbrs = nbrs[:w]
-	if a.idx != nil {
-		if w < demoteDegree {
-			a.idx = nil
-		} else {
-			for _, e := range vals {
-				delete(a.idx, e.V)
-			}
-		}
-	}
 }
 
 // Dynamic is an undirected dynamic graph over a fixed vertex set
@@ -192,7 +156,7 @@ func (g *Dynamic) Neighbors(v uint32, f func(w uint32) bool) {
 // NeighborSlice returns v's neighbours as a freshly allocated slice in
 // ascending order. Intended for tests and deterministic iteration.
 func (g *Dynamic) NeighborSlice(v uint32) []uint32 {
-	return slices.Clone(g.adj[v].nbrs)
+	return append([]uint32(nil), g.adj[v].nbrs...)
 }
 
 // normalizeBatch canonicalizes, sorts, and deduplicates a batch, dropping
@@ -312,26 +276,6 @@ func (g *Dynamic) Edges() []Edge {
 	return out
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Dynamic) Clone() *Dynamic {
-	c := &Dynamic{adj: make([]adjacency, len(g.adj)), numEdges: g.numEdges}
-	parallel.For(len(g.adj), func(i int) {
-		a := &g.adj[i]
-		if len(a.nbrs) == 0 {
-			return
-		}
-		ca := adjacency{nbrs: slices.Clone(a.nbrs)}
-		if a.idx != nil {
-			ca.idx = make(map[uint32]struct{}, len(ca.nbrs))
-			for _, w := range ca.nbrs {
-				ca.idx[w] = struct{}{}
-			}
-		}
-		c.adj[i] = ca
-	})
-	return c
-}
-
 // CSR is a static compressed-sparse-row snapshot of an undirected graph.
 // Offsets has length NumVertices+1; the neighbours of v are
 // Targets[Offsets[v]:Offsets[v+1]], sorted ascending.
@@ -382,24 +326,14 @@ func CSRFromEdges(n int, edges []Edge) *CSR {
 
 // FromCSR rebuilds a dynamic graph from a CSR snapshot — the inverse of
 // Snapshot, used by durability recovery. Adjacency rows are copied in
-// parallel (CSR rows are already sorted) and high-degree vertices are
-// re-promoted. The snapshot must be well-formed (symmetric, sorted, no
-// self-loops); Validate can verify the result.
+// parallel (CSR rows are already sorted). The snapshot must be well-formed
+// (symmetric, sorted, no self-loops); Validate can verify the result.
 func FromCSR(c *CSR) *Dynamic {
 	n := c.NumVertices()
 	g := NewDynamic(n)
 	parallel.For(n, func(i int) {
-		row := c.Neighbors(uint32(i))
-		if len(row) == 0 {
-			return
-		}
-		a := &g.adj[i]
-		a.nbrs = slices.Clone(row)
-		if len(a.nbrs) > promoteDegree {
-			a.idx = make(map[uint32]struct{}, len(a.nbrs))
-			for _, w := range a.nbrs {
-				a.idx[w] = struct{}{}
-			}
+		if row := c.Neighbors(uint32(i)); len(row) > 0 {
+			g.adj[i].nbrs = append([]uint32(nil), row...)
 		}
 	})
 	g.numEdges = c.NumEdges()
@@ -407,7 +341,7 @@ func FromCSR(c *CSR) *Dynamic {
 }
 
 // Validate checks internal consistency: sortedness and uniqueness of every
-// adjacency block, symmetry, the edge count, and the promotion side index.
+// adjacency block, symmetry and the edge count.
 // It is used by tests and returns a descriptive error on failure.
 func (g *Dynamic) Validate() error {
 	var count int64
@@ -424,16 +358,6 @@ func (g *Dynamic) Validate() error {
 				return fmt.Errorf("asymmetric edge (%d,%d)", u, v)
 			}
 			count++
-		}
-		if a.idx != nil {
-			if len(a.idx) != len(a.nbrs) {
-				return fmt.Errorf("vertex %d: index size %d != degree %d", u, len(a.idx), len(a.nbrs))
-			}
-			for _, v := range a.nbrs {
-				if _, ok := a.idx[v]; !ok {
-					return fmt.Errorf("vertex %d: neighbour %d missing from index", u, v)
-				}
-			}
 		}
 	}
 	if count%2 != 0 {

@@ -143,22 +143,6 @@ func TestEdgesSorted(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := NewDynamic(4)
-	g.InsertEdges([]Edge{{0, 1}, {2, 3}})
-	c := g.Clone()
-	c.DeleteEdges([]Edge{{0, 1}})
-	if !g.HasEdge(0, 1) {
-		t.Fatal("clone mutation leaked into original")
-	}
-	if c.HasEdge(0, 1) {
-		t.Fatal("clone delete did not apply")
-	}
-	if g.NumEdges() != 2 || c.NumEdges() != 1 {
-		t.Fatalf("edge counts: g=%d c=%d", g.NumEdges(), c.NumEdges())
-	}
-}
-
 func TestSnapshotCSR(t *testing.T) {
 	g := NewDynamic(4)
 	g.InsertEdges([]Edge{{0, 1}, {0, 2}, {1, 2}, {2, 3}})

@@ -2,7 +2,9 @@
 //
 // It is a small, dependency-free stand-in for the ParlayLib primitives the
 // paper's C++ implementation uses, cut down to the ones this repository
-// calls: parallel for, fork-join, scan, filter and sort. All primitives are
+// calls: parallel for (For, over blocks of indices claimed by
+// BlockedForWith), fork-join (Do), filter (Filter, placed by the prefix
+// sums of ScanWith) and a stable merge sort (Sort). All primitives are
 // deterministic: given the same input they produce the same output
 // regardless of the number of workers.
 //
@@ -65,16 +67,11 @@ func ForWith(workers, n int, body func(i int)) {
 	})
 }
 
-// BlockedFor partitions [0, n) into contiguous blocks and runs body(lo, hi)
-// on each block, using the default worker count. It is the preferred
-// primitive when per-iteration work is tiny, since it amortizes dispatch.
-func BlockedFor(n int, body func(lo, hi int)) {
-	BlockedForWith(Workers(), n, body)
-}
-
-// BlockedForWith is BlockedFor with an explicit worker count. Blocks are
-// claimed dynamically with an atomic counter so that uneven per-block work
-// is balanced across workers.
+// BlockedForWith partitions [0, n) into contiguous blocks and runs
+// body(lo, hi) on each block with the given worker count, which amortizes
+// dispatch when per-iteration work is tiny. Blocks are claimed dynamically
+// with an atomic counter so that uneven per-block work is balanced across
+// workers.
 func BlockedForWith(workers, n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -139,13 +136,9 @@ func Do(thunks ...func()) {
 	wg.Wait()
 }
 
-// Scan computes the exclusive prefix sums of xs in place and returns the
-// total. After the call, xs[i] holds the sum of the original xs[0:i].
-func Scan(xs []int) int {
-	return ScanWith(Workers(), xs)
-}
-
-// ScanWith is Scan with an explicit worker count.
+// ScanWith computes the exclusive prefix sums of xs in place with the given
+// worker count and returns the total. After the call, xs[i] holds the sum
+// of the original xs[0:i].
 func ScanWith(workers int, xs []int) int {
 	n := len(xs)
 	if workers <= 1 || n < minGrain {

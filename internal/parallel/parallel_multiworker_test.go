@@ -34,19 +34,17 @@ func TestForParallelPath(t *testing.T) {
 }
 
 func TestScanParallelPath(t *testing.T) {
-	withWorkers(t, 4, func() {
-		rng := rand.New(rand.NewSource(9))
-		xs := make([]int, minGrain*9+37)
-		for i := range xs {
-			xs[i] = rng.Intn(50)
-		}
-		want, wantTotal := scanRef(xs)
-		got := append([]int(nil), xs...)
-		total := Scan(got)
-		if total != wantTotal || !reflect.DeepEqual(got, want) {
-			t.Fatal("parallel scan mismatch")
-		}
-	})
+	rng := rand.New(rand.NewSource(9))
+	xs := make([]int, minGrain*9+37)
+	for i := range xs {
+		xs[i] = rng.Intn(50)
+	}
+	want, wantTotal := scanRef(xs)
+	got := append([]int(nil), xs...)
+	total := ScanWith(4, got)
+	if total != wantTotal || !reflect.DeepEqual(got, want) {
+		t.Fatal("parallel scan mismatch")
+	}
 }
 
 func TestFilterParallelPath(t *testing.T) {
@@ -85,11 +83,9 @@ func TestSortParallelPath(t *testing.T) {
 
 func TestBlockedForSmallerThanWorkers(t *testing.T) {
 	// More workers than blocks: the worker clamp path.
-	withWorkers(t, 64, func() {
-		var total atomic.Int64
-		BlockedFor(minGrain+1, func(lo, hi int) { total.Add(int64(hi - lo)) })
-		if total.Load() != int64(minGrain+1) {
-			t.Fatalf("covered %d", total.Load())
-		}
-	})
+	var total atomic.Int64
+	BlockedForWith(64, minGrain+1, func(lo, hi int) { total.Add(int64(hi - lo)) })
+	if total.Load() != int64(minGrain+1) {
+		t.Fatalf("covered %d", total.Load())
+	}
 }

@@ -223,7 +223,7 @@ func BenchmarkParallelFor(b *testing.B) {
 	xs := make([]int64, 1<<20)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		BlockedFor(len(xs), func(lo, hi int) {
+		BlockedForWith(Workers(), len(xs), func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				xs[j]++
 			}

@@ -67,8 +67,10 @@ type shardState struct {
 	// only touched inside this shard's commit hook.
 	events []feed.Event
 
-	// Load counters, maintained atomically by the shard's updater so that
-	// Stats can be served concurrently with updates.
+	// Load counters, maintained atomically by the shard's commit hook
+	// before each commit is published (see count), so that Stats can be
+	// served concurrently with updates and a reader that sees an epoch sees
+	// its counts.
 	inserted     atomic.Int64 // edges applied to the local subgraph, total
 	deleted      atomic.Int64
 	localEdges   atomic.Int64 // edges currently in the local subgraph (incl. mirrors)
@@ -309,9 +311,11 @@ func (e *Engine) shardEpochs() []uint64 {
 // the publication order, so the hub receives epochs in increasing order,
 // each after it became readable. Mirrored cut edges make a shard's CPLDS
 // move vertices it does not own; reads route to the owner shard, so only
-// owned vertices' moves are coreness changes.
+// owned vertices' moves are coreness changes. The edge counters take the
+// batch (see count) before publish, so they never lag the epoch.
 func (e *Engine) commit(s *shardState, d *mvcc.Delta, publish func()) {
 	emit := func(epoch uint64) {
+		e.count(s)
 		publish()
 		if !e.feedActive() {
 			return
@@ -333,6 +337,24 @@ func (e *Engine) commit(s *shardState, d *mvcc.Delta, publish func()) {
 	} else {
 		e.vlog.Commit(s.idx, emit)
 	}
+}
+
+// count adds the committing batch to s's edge counters. At commit the
+// local graph still holds the batch's count and directed copies: it grew
+// by the edges an insertion batch applied and shrank by those a deletion
+// batch removed, and of those the global graph changed by the ones s owns.
+func (e *Engine) count(s *shardState) {
+	applied := s.c.Graph().NumEdges() - s.localEdges.Load()
+	owned := int64(e.ownedApplied(s, int(max(applied, -applied))))
+	if applied > 0 {
+		s.inserted.Add(applied)
+	} else {
+		s.deleted.Add(-applied)
+		owned = -owned
+	}
+	s.localEdges.Add(applied)
+	s.primaryEdges.Add(owned)
+	e.numEdges.Add(owned)
 }
 
 // feedActive reports whether a change-feed subscriber is attached. It is
@@ -598,28 +620,22 @@ func (e *Engine) applyLive(b wal.Batch) (inserted, deleted int) {
 // alone decides which edges count (it drops self-loops, out-of-range
 // endpoints, duplicates and no-op edges), and a sub-batch commits an epoch
 // only if it changed the graph. It returns the edges the round inserted into
-// and deleted from the global graph: those the shard owns, so a mirrored
+// and deleted from the global graph: the moves of the shard's owned-edge
+// counter, which only the commit hook (see count) changes, so a mirrored
 // cut edge counts once. Live rounds (Apply) and replayed ones (ApplyLogged)
 // both run here, so recovered and replicated counters equal the live ones.
 // Caller holds applyMu or is the single-threaded recovery.
 func (e *Engine) applyRound(b wal.Batch) (inserted, deleted int) {
 	s := e.shards[b.Shard]
+	owned := s.primaryEdges.Load()
 	if len(b.Ins) > 0 {
-		applied := s.c.InsertBatch(b.Ins)
-		inserted = e.ownedApplied(s, applied)
-		s.inserted.Add(int64(applied))
-		s.localEdges.Add(int64(applied))
+		s.c.InsertBatch(b.Ins)
 	}
+	mid := s.primaryEdges.Load()
 	if len(b.Del) > 0 {
-		applied := s.c.DeleteBatch(b.Del)
-		deleted = e.ownedApplied(s, applied)
-		s.deleted.Add(int64(applied))
-		s.localEdges.Add(-int64(applied))
+		s.c.DeleteBatch(b.Del)
 	}
-	net := int64(inserted - deleted)
-	s.primaryEdges.Add(net)
-	e.numEdges.Add(net)
-	return inserted, deleted
+	return int(mid - owned), int(mid - s.primaryEdges.Load())
 }
 
 // ownedApplied returns how many of the applied edges of s's last CPLDS batch
