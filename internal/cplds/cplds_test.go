@@ -124,14 +124,26 @@ func checkMarksAtCommit(t testing.TB, c *CPLDS, then func(marked []uint32)) {
 	}
 }
 
+// buildCascade returns a CPLDS holding a settled clique on the vertices
+// k..n-1, and the batch that completes the clique on all n vertices. A
+// clique inserted into an empty structure rises in one round, so no
+// intermediate level would exist. Here the vertices below k first jump
+// past the settled ones, which then climb past them and lift them again:
+// vertex 0 passes through a level that is neither its pre-batch nor its
+// post-batch one, while every vertex below k starts at level 0.
 func buildCascade(n, k int) (*CPLDS, []graph.Edge) {
 	c := newC(n)
-	var batch []graph.Edge
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			batch = append(batch, graph.E(uint32(i), uint32(j)))
+	var settled, batch []graph.Edge
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if i >= k {
+				settled = append(settled, graph.E(uint32(i), uint32(j)))
+			} else {
+				batch = append(batch, graph.E(uint32(i), uint32(j)))
+			}
 		}
 	}
+	c.InsertBatch(settled)
 	return c, batch
 }
 
@@ -148,7 +160,7 @@ func TestNoIntermediateLevelsVisible(t *testing.T) {
 		c, batch := buildCascade(n, k)
 		pre := make([]int32, n)
 		for v := range pre {
-			pre[v] = c.P.Level(uint32(v)) // all zero
+			pre[v] = c.P.Level(uint32(v)) // zero below k
 		}
 		var wg sync.WaitGroup
 		stop := make(chan struct{})

@@ -3,23 +3,44 @@
 // of the LDS that processes batches of edge insertions or deletions with
 // level-synchronous parallel vertex moves.
 //
-// During an insertion batch, levels are visited in increasing order and all
-// vertices at the current level that violate Invariant 1 move up in
-// parallel; each level is left for good once processed. The paper's sweep
-// raises a violator one level per round. This one raises it straight to its
-// skip target — the lowest level above at which the neighbours already
-// standing that high no longer exceed the Invariant 1 bound (skipTarget) —
-// and reaches exactly the levels the one-level sweep reaches:
+// During an insertion batch, levels are visited in increasing order, and
+// every vertex at the current level l that violates Invariant 1 moves up;
+// each level is left for good once processed. The paper's sweep raises a
+// violator one level per round, so a neighbourhood that climbs together
+// steps through a group's levels one round at a time. Here a round raises
+// the violators and the vertices rising with them straight to their
+// targets. It takes the rising set C: the round's violators M, plus every
+// vertex w standing in (l, h), h the first level of the next group, whose
+// up count plus its neighbours in C below it exceed UpperBound(level(w)) —
+// the vertices that the members below them could lift. It gives each
+// member u the target E(u): the lowest j >= from(u) at which at most
+// UpperBound(j) of u's neighbours count at j or above (MaxLevel if there is
+// none), where from(u) is l+1 for u in M and level(u) otherwise, a
+// neighbour outside C counts at its level, and a neighbour w in C counts at
+// E(w). Of the solutions it takes the greatest, which is unique (rise).
+// Every member with E(u) > level(u) moves. h and the admission test only
+// keep C small: the result is exact for any C that holds M.
 //
-//  1. levels only rise during an insertion sweep, so the neighbours at or
-//     above a level j now are a subset of those the violator would find
-//     there when the one-level sweep got to j;
-//  2. hence it would still violate Invariant 1 at every level below its
-//     skip target, and the one-level sweep carries it at least that far;
-//  3. at the target it is queued and re-examined like any vertex of that
-//     level, against the same set of neighbours at or above it (a vertex
-//     is ahead of its one-level position only while both are at or above
-//     the level being processed), so it stops exactly where it would have.
+//  1. Let L* be the levels the one-level sweep ends at. L* solves the same
+//     equation with C = every vertex: a vertex stops at the first level at
+//     which it does not violate, and once the sweep has processed a level
+//     j, every vertex is on its final side of j — the ones above it only
+//     rise, and the ones below it are never visited again.
+//  2. Every solution on any such C is at most L*, provided the levels
+//     before the round are. A neighbour outside C counts at its level,
+//     which is at most its final one. Take the lowest level j at which the
+//     sweep leaves some u in C below E(u). Every neighbour w in C with
+//     E(w) >= j then has L*(w) >= j, so all that u counts at j stand at j
+//     or above when the sweep is done, and u violates Invariant 1 at j,
+//     where it stopped: a contradiction.
+//
+// So no vertex passes its level in L*. A mover is re-examined at its
+// target like any vertex of that level, and the sweep ends with Invariant 1
+// holding everywhere. Levels at most L* with no violator are L* itself:
+// the lowest vertex u below its L* would still count, at its own level,
+// every neighbour w with L*(w) >= level(u), since each of those stands at
+// level(u) or above. The engine therefore ends at exactly the one-level
+// sweep's levels, whatever the evaluation order and worker count.
 //
 // During a deletion batch, every vertex that violates Invariant 2 computes
 // its desire level — the highest level below its current one where
@@ -84,10 +105,9 @@ type decision struct {
 	dl   int32
 }
 
-// levelBufPool holds the neighbour-level gather buffers of skipTarget and
-// desireLevel, which run concurrently from the sweeps' parallel loops;
-// pooling keeps both hot paths allocation-free without threading worker
-// identities.
+// levelBufPool holds the neighbour-level gather buffers of desireLevel,
+// which runs concurrently from the deletion sweep's parallel loops; pooling
+// keeps that hot path allocation-free without threading worker identities.
 var levelBufPool = sync.Pool{New: func() any { b := make([]int32, 0, 1024); return &b }}
 
 // growScratch returns buf resized to n, reallocating only when capacity is
@@ -133,6 +153,9 @@ type PLDS struct {
 	moveStamp []int64        // batch in which v last moved (first-move hook)
 	claim     []atomic.Int64 // round-claim stamps for mover dedup
 	queued    []atomic.Int64 // batch-stamp marking v as present in a desire bucket
+	pos       []int32        // v's index in the rising set, if it is a member (rise)
+	pull      []int32        // v's neighbours in the rising set below it, in round pullRound
+	pullRound []int64
 
 	dirty   [][]uint32 // per-level dirty lists (insertion phase), reused
 	buckets [][]uint32 // per-level desire buckets (deletion phase), reused
@@ -146,6 +169,12 @@ type PLDS struct {
 	extraBufs    [][]uint32
 	seedBuf      []uint32
 	firstBuf     []uint32
+	riseBuf      []uint32 // the rising set C
+	jumpBuf      []int32  // each member's target E
+	pendingBuf   []bool   // member is on the worklist
+	workBuf      []int32  // worklist of member indices
+	levelsBuf    []int32  // one member's neighbour levels
+	nbrBuf       []int32  // one member's neighbours in C, by index
 
 	sweeps SweepStats
 }
@@ -178,6 +207,9 @@ func New(n int, p lds.Params, tracker Tracker) *PLDS {
 		moveStamp: make([]int64, n),
 		claim:     make([]atomic.Int64, n),
 		queued:    make([]atomic.Int64, n),
+		pos:       make([]int32, n),
+		pull:      make([]int32, n),
+		pullRound: make([]int64, n),
 		dirty:     make([][]uint32, s.K+1),
 		buckets:   make([][]uint32, s.K+1),
 	}
@@ -229,38 +261,17 @@ func (p *PLDS) violatesInv2(v uint32) bool {
 	return float64(cnt) < p.S.LowerBound(lv)
 }
 
-// levelsAbove appends to ls the current level of every neighbour of v that
-// stands above floor (-1 for all of them). Sorted, these are all skipTarget
-// and desireLevel need: the number of neighbours at or above a level changes
-// only at one of these values, and the bound it is tested against only at a
-// group boundary, so neither has to visit the levels in between.
-func (p *PLDS) levelsAbove(v uint32, floor int32, ls []int32) []int32 {
+// neighbourLevels appends to ls the current level of every neighbour of v.
+// Sorted, these are all desireLevel needs: the number of neighbours at or
+// above a level changes only at one of these values, and the bound it is
+// tested against only at a group boundary, so it does not have to visit the
+// levels in between.
+func (p *PLDS) neighbourLevels(v uint32, ls []int32) []int32 {
 	p.g.Neighbors(v, func(w uint32) bool {
-		if l := p.level[w].Load(); l > floor {
-			ls = append(ls, l)
-		}
+		ls = append(ls, p.level[w].Load())
 		return true
 	})
 	return ls
-}
-
-// skipTarget returns the level an Invariant 1 violator v at level l rises
-// to: the lowest j > l such that the neighbours now at level j or above
-// number at most UpperBound(j), or MaxLevel if there is none. Neighbours at
-// level l itself are left out even when they are about to move as well, so
-// a set of vertices that rise together still rises one level at a time —
-// which is also the common case, and needs no sort.
-func (p *PLDS) skipTarget(v uint32, l int32) int32 {
-	bufp := levelBufPool.Get().(*[]int32)
-	ls := p.levelsAbove(v, l, (*bufp)[:0])
-	j := l + 1
-	if float64(len(ls)) > p.S.UpperBound(j) {
-		slices.Sort(ls)
-		j = lowestWithin(p.S, ls, j)
-	}
-	*bufp = ls
-	levelBufPool.Put(bufp)
-	return j
 }
 
 // lowestWithin returns the lowest level j >= from at which at most
@@ -296,7 +307,7 @@ func (p *PLDS) desireLevel(v uint32) int32 {
 		return 0
 	}
 	bufp := levelBufPool.Get().(*[]int32)
-	ls := p.levelsAbove(v, -1, (*bufp)[:0])
+	ls := p.neighbourLevels(v, (*bufp)[:0])
 	slices.Sort(ls)
 	d := highestSupported(p.S, ls, lv-1)
 	*bufp = ls
@@ -366,6 +377,116 @@ func (p *PLDS) Restore(g *graph.Dynamic, levels []int32, epoch uint64) {
 		p.up[v].Store(p.countAtLeast(uint32(v), levels[v]))
 	})
 	p.epoch.Store(epoch)
+}
+
+// rise solves one insertion round at level l (package comment). movers
+// holds the round's claimed violators M. rise gathers the rising set C,
+// finds every member's target E, claims for round the members outside M
+// that rise above their own level, and returns all of the round's movers,
+// M first, with their targets and old levels.
+//
+// E is the greatest solution: every member starts at MaxLevel, as its
+// neighbours in C count it, and a member is evaluated again whenever the
+// target of one of its neighbours in C falls below its own, until none
+// changes. Targets only fall, and a fall from e0 to e1 changes a count only
+// at levels in (e1, e0], so it cannot move a target at or below e1.
+func (p *PLDS) rise(l int32, round int64, movers []uint32) ([]uint32, []int32, []int32) {
+	lpg := int32(p.S.LevelsPerGroup)
+	h := (l/lpg + 1) * lpg
+	// C is a sparse set: w is a member iff pos[w] indexes w in set, so it
+	// needs no clearing between rounds. Each member pulls its neighbours
+	// above it; one joins once it would violate if all its pullers passed
+	// it. Below that it stays put whatever they do, as up counts everyone
+	// at or above it already.
+	set := append(p.riseBuf[:0], movers...)
+	for i, v := range set {
+		p.pos[v] = int32(i)
+	}
+	for i := 0; i < len(set); i++ {
+		lu := p.level[set[i]].Load()
+		p.g.Neighbors(set[i], func(w uint32) bool {
+			lw := p.level[w].Load()
+			if lw <= lu || lw >= h {
+				return true
+			}
+			if k := p.pos[w]; int(k) < len(set) && set[k] == w {
+				return true
+			}
+			if p.pullRound[w] != round {
+				p.pullRound[w], p.pull[w] = round, 0
+			}
+			p.pull[w]++
+			if float64(p.up[w].Load()+p.pull[w]) > p.S.UpperBound(lw) {
+				p.pos[w] = int32(len(set))
+				set = append(set, w)
+			}
+			return true
+		})
+	}
+	p.riseBuf = set
+	n, m := len(set), len(movers)
+	jump := growScratch(p.jumpBuf, n)
+	pending := growScratch(p.pendingBuf, n)
+	work := growScratch(p.workBuf, n)
+	// The worklist is a ring of member indices, first in, first out, so
+	// that each pass sees the falls of the pass before. (Last in, first out
+	// re-evaluates a hub once per falling neighbour: on the cold start that
+	// was 12 times the evaluations.) No more than n are ever pending.
+	for i := range set {
+		jump[i], pending[i], work[i] = p.S.MaxLevel(), true, int32(i)
+	}
+	ls, nbr := p.levelsBuf, p.nbrBuf
+	for head, size := 0, n; size > 0; {
+		i := work[head]
+		head, size = (head+1)%n, size-1
+		pending[i] = false
+		u, from := set[i], l+1
+		if int(i) >= m {
+			from = p.level[u].Load()
+		}
+		ls, nbr = ls[:0], nbr[:0]
+		p.g.Neighbors(u, func(w uint32) bool {
+			lw := p.level[w].Load()
+			if k := p.pos[w]; int(k) < n && set[k] == w {
+				lw = jump[k]
+				nbr = append(nbr, k)
+			}
+			if lw >= from {
+				ls = append(ls, lw)
+			}
+			return true
+		})
+		e := from
+		if float64(len(ls)) > p.S.UpperBound(from) {
+			slices.Sort(ls)
+			e = lowestWithin(p.S, ls, from)
+		}
+		if e == jump[i] {
+			continue
+		}
+		jump[i] = e
+		for _, k := range nbr {
+			if !pending[k] && jump[k] > e {
+				pending[k] = true
+				work[(head+size)%n] = k
+				size++
+			}
+		}
+	}
+	p.levelsBuf, p.nbrBuf, p.jumpBuf, p.pendingBuf, p.workBuf = ls, nbr, jump, pending, work
+	for i := m; i < n; i++ {
+		if u := set[i]; jump[i] > p.level[u].Load() {
+			p.claim[u].Store(round)
+			movers = append(movers, u)
+		}
+	}
+	targets := growScratch(p.targetsBuf, len(movers))
+	old := growScratch(p.oldLevelsBuf, len(movers))
+	for i, v := range movers {
+		targets[i], old[i] = jump[p.pos[v]], p.level[v].Load()
+	}
+	p.targetsBuf, p.oldLevelsBuf = targets, old
+	return movers, targets, old
 }
 
 // noteGrain is the first-mover count below which noteMoves calls the tracker
@@ -443,17 +564,15 @@ func (p *PLDS) InsertBatch(edges []graph.Edge) int {
 	// cur* locals by reference: one closure allocation per batch instead of
 	// four per round, which matters because sweeps run many small rounds.
 	var (
-		curL       int32
 		curRound   int64
 		curMovers  []uint32
 		curTargets []int32
+		curOld     []int32
 		curExtra   [][]uint32
 	)
-	// Phase A: compute each mover's skip target — the lowest level above l
-	// at which it is not certain to violate Invariant 1 again (see the
-	// package comment for why that loses nothing against l+1) — before any
-	// level changes, so targets are deterministic; then raise all movers.
-	phaseA := func(i int) { curTargets[i] = p.skipTarget(curMovers[i], curL) }
+	// Before any level changes, rise finds the round's movers and their
+	// targets (package comment), so targets are deterministic; then all
+	// movers are raised.
 	phaseRaise := func(i int) { p.level[curMovers[i]].Store(curTargets[i]) }
 	// Phase B: recompute movers' up counters against settled levels.
 	phaseB := func(i int) {
@@ -461,17 +580,16 @@ func (p *PLDS) InsertBatch(edges []graph.Edge) int {
 		p.up[v].Store(p.countAtLeast(v, curTargets[i]))
 	}
 	// Phase C: a non-mover neighbour w gains an up-neighbour if v rose
-	// past it: l < level(w) <= target(v). Mark such neighbours dirty at
-	// their own level; movers are recognized by their round claim and
+	// past it: old(v) < level(w) <= target(v). Mark such neighbours dirty
+	// at their own level; movers are recognized by their round claim and
 	// were fully recomputed in Phase B.
 	phaseC := func(i int) {
 		v := curMovers[i]
-		t := curTargets[i]
-		l, round := curL, curRound
+		t, old, round := curTargets[i], curOld[i], curRound
 		local := curExtra[i]
 		p.g.Neighbors(v, func(w uint32) bool {
 			lw := p.level[w].Load()
-			if lw > l && lw <= t && p.claim[w].Load() != round {
+			if lw > old && lw <= t && p.claim[w].Load() != round {
 				p.up[w].Add(1)
 				local = append(local, w)
 			}
@@ -501,11 +619,11 @@ func (p *PLDS) InsertBatch(edges []graph.Edge) int {
 		if len(movers) == 0 {
 			continue
 		}
+		movers, curTargets, curOld = p.rise(l, round, movers)
+		p.moversBuf = movers
 		p.noteMoves(&p.sweeps.Insert, movers, Insert)
-		p.targetsBuf = growScratch(p.targetsBuf, len(movers))
-		curL, curRound, curMovers, curTargets = l, round, movers, p.targetsBuf
+		curRound, curMovers = round, movers
 		curExtra = p.extraScratch(len(movers))
-		parallel.For(len(movers), phaseA)
 		parallel.For(len(movers), phaseRaise)
 		parallel.For(len(movers), phaseB)
 		parallel.For(len(movers), phaseC)

@@ -208,15 +208,41 @@ func TestSkipAheadMatchesStepwiseOnTinyGraphs(t *testing.T) {
 	}
 }
 
-// TestLevelJumpReachesSameLevelsOnClique: in a clique every neighbour of a
-// mover moves with it, no mover sees anyone above, and the skip rule must
-// fall back to exactly the stepwise sweep, move for move.
-func TestLevelJumpReachesSameLevelsOnClique(t *testing.T) {
+// TestCliqueRisesInOneRound: in a clique every neighbour of a mover moves
+// with it, so the stepwise sweep climbs one level per round for as long as
+// the clique rises. The rising set is the whole clique, and it must reach
+// the same levels in one round of one move per vertex.
+func TestCliqueRisesInOneRound(t *testing.T) {
 	const n = 50
 	c := newStepwiseChecker(t, n)
 	c.insert(gen.Clique(n))
-	if got := c.p.SweepStats().Insert; got.Moves != c.ref.Moves || got.Rounds != c.ref.Rounds {
-		t.Fatalf("clique: engine %+v, stepwise %+v", got, c.ref)
+	if got := c.p.SweepStats().Insert; got.Moves != n || got.Rounds != 1 {
+		t.Fatalf("clique: engine %+v, want %d moves in 1 round (stepwise %+v)", got, n, c.ref)
+	}
+}
+
+// TestRisingSetsJumpOnChunkedPreload is the benchmark's preload
+// (benchmark/inputs.go): a Chung–Lu graph inserted in chunks into an empty
+// structure. Each late chunk lifts sets of neighbours that stand on
+// several levels of one group, which the stepwise sweep walks up one level
+// per round; the engine must reach the same levels in a few dozen rounds,
+// moving each vertex a few times at most.
+func TestRisingSetsJumpOnChunkedPreload(t *testing.T) {
+	n, edges, chunk := 30000, 90000, 10000
+	if testing.Short() {
+		n, edges, chunk = n/5, edges/5, chunk/5
+	}
+	c := newStepwiseChecker(t, n)
+	for i, b := range gen.Batches(gen.Shuffle(gen.ChungLu(n, 2*edges, 2.4, 1), 2)[:edges], chunk) {
+		before, ref := c.p.SweepStats().Insert, c.ref
+		c.insert(b)
+		got := c.p.SweepStats().Insert
+		got.Rounds, got.Moves, got.FirstMoves = got.Rounds-before.Rounds, got.Moves-before.Moves, got.FirstMoves-before.FirstMoves
+		t.Logf("chunk %d: engine %d moves of %d vertices in %d rounds, stepwise %d moves in %d rounds",
+			i, got.Moves, got.FirstMoves, got.Rounds, c.ref.Moves-ref.Moves, c.ref.Rounds-ref.Rounds)
+		if got.Rounds > 40 || 4*got.Moves > 5*got.FirstMoves {
+			t.Fatalf("chunk %d: %d moves of %d vertices in %d rounds; want at most 40 rounds and 1.25 moves a vertex", i, got.Moves, got.FirstMoves, got.Rounds)
+		}
 	}
 }
 
@@ -366,7 +392,7 @@ func TestDesireLevelMatchesLevelByLevelLoop(t *testing.T) {
 		if !p.violatesInv2(v) {
 			continue
 		}
-		ls := p.levelsAbove(v, -1, nil)
+		ls := p.neighbourLevels(v, nil)
 		if got, want := p.desireLevel(v), highestSupportedLoop(p.S, ls, p.Level(v)-1); got != want {
 			t.Fatalf("vertex %d at level %d: desire level %d, want %d", v, p.Level(v), got, want)
 		}

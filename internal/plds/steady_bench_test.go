@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"kcore/internal/gen"
+	"kcore/internal/parallel"
 )
 
 // BenchmarkBatchSteadyState measures the steady-state batch hot path: a
@@ -35,4 +36,28 @@ func BenchmarkBatchSteadyState(b *testing.B) {
 	perOp := func(ins, del int64) float64 { return float64(ins+del) / float64(b.N) }
 	b.ReportMetric(perOp(after.Insert.Moves-before.Insert.Moves, after.Delete.Moves-before.Delete.Moves), "moves/op")
 	b.ReportMetric(perOp(after.Insert.Rounds-before.Insert.Rounds, after.Delete.Rounds-before.Delete.Rounds), "rounds/op")
+}
+
+// BenchmarkColdStart inserts the benchmark's whole preload (benchmark/
+// inputs.go: Chung–Lu, 30 000 vertices, exponent 2.4, 90 000 edges) into an
+// empty structure as one batch at one worker. Neighbourhoods climb
+// together here; rounds/op and moves/op show how often they stop.
+func BenchmarkColdStart(b *testing.B) {
+	const n = 30000
+	edges := gen.Shuffle(gen.ChungLu(n, 180000, 2.4, 1), 2)[:90000]
+	defer parallel.SetWorkers(parallel.Workers())
+	parallel.SetWorkers(1)
+	var sweeps SweepCounts
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := New(n, defaultP(), nil)
+		b.StartTimer()
+		p.InsertBatch(edges)
+		sweeps = p.SweepStats().Insert
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(sweeps.Rounds), "rounds/op")
+	b.ReportMetric(float64(sweeps.Moves), "moves/op")
 }

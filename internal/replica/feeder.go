@@ -301,8 +301,10 @@ func (f *Feeder) handleStream(w http.ResponseWriter, r *http.Request) {
 	if err := c.writeVectorFrame(frameEnd, c.vec); err != nil {
 		return
 	}
-	flusher.Flush()
+	// Counted before the flush that lets the follower finish its sync, so
+	// that a follower that has bootstrapped is always counted.
 	f.bootstraps.Add(1)
+	flusher.Flush()
 
 	f.serveTail(r.Context(), c, tail)
 }
@@ -372,13 +374,14 @@ func (f *Feeder) handleResume(w http.ResponseWriter, r *http.Request) {
 	if err := c.writeVectorFrame(frameResumeOK, cur); err != nil {
 		return
 	}
+	// Counted before the replay can push the answer out, as bootstraps are.
+	f.resumes.Add(1)
 	for _, rec := range replay {
 		if err := c.writeRecordFrame(f, rec); err != nil {
 			return
 		}
 	}
 	flusher.Flush()
-	f.resumes.Add(1)
 
 	f.serveTail(r.Context(), c, tail)
 }
