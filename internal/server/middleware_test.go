@@ -38,8 +38,10 @@ func decodeError(t *testing.T, resp *http.Response) errorResponse {
 }
 
 func TestStructuredErrorBodies(t *testing.T) {
-	_, ts := newTestService(t)
+	s, ts := newTestService(t, WithMaxBatchEdges(8))
 	post(t, ts.URL+"/edges/insert", triangleBody())
+	nineEdges := `{"insert":[{"u":0,"v":1},{"u":0,"v":2},{"u":0,"v":3},{"u":0,"v":4},{"u":0,"v":5},` +
+		`{"u":0,"v":6},{"u":0,"v":7},{"u":0,"v":8},{"u":0,"v":9}]}`
 	cases := []struct {
 		name, method, path, body string
 		wantStatus               int
@@ -65,6 +67,17 @@ func TestStructuredErrorBodies(t *testing.T) {
 		{"bad batch JSON", "POST", "/edges/batch", "{nope", http.StatusBadRequest, codeBadRequest},
 		{"empty batch", "POST", "/edges/batch", `{"insert":[],"delete":[]}`, http.StatusBadRequest, codeBadRequest},
 		{"batch vertex range", "POST", "/edges/batch", `{"insert":[{"u":0,"v":12345}]}`, http.StatusBadRequest, codeBadRequest},
+		{"batch delete vertex at n", "POST", "/edges/batch", `{"delete":[{"u":100,"v":0}]}`, http.StatusBadRequest, codeBadRequest},
+		{"batch trailing bytes", "POST", "/edges/batch", `{"insert":[{"u":0,"v":1}]} {}`, http.StatusBadRequest, codeBadRequest},
+		{"batch negative id", "POST", "/edges/batch", `{"insert":[{"u":-1,"v":1}]}`, http.StatusBadRequest, codeBadRequest},
+		{"batch fractional id", "POST", "/edges/batch", `{"insert":[{"u":1.5,"v":1}]}`, http.StatusBadRequest, codeBadRequest},
+		{"batch exponent id", "POST", "/edges/batch", `{"insert":[{"u":1e3,"v":1}]}`, http.StatusBadRequest, codeBadRequest},
+		{"batch string id", "POST", "/edges/batch", `{"insert":[{"u":"7","v":1}]}`, http.StatusBadRequest, codeBadRequest},
+		{"batch unknown field", "POST", "/edges/batch", `{"insert":[{"u":0,"v":1}],"upsert":[]}`, http.StatusBadRequest, codeBadRequest},
+		{"batch unknown edge field", "POST", "/edges/batch", `{"insert":[{"u":0,"v":1,"w":2}]}`, http.StatusBadRequest, codeBadRequest},
+		{"batch truncated", "POST", "/edges/batch", `{"insert":[{"u":0,"v":1}`, http.StatusBadRequest, codeBadRequest},
+		{"batch body over the byte limit", "POST", "/edges/batch", batchBodyAt(int(s.batchBodyLimit()) + 1), http.StatusRequestEntityTooLarge, codeTooLarge},
+		{"batch over the edge limit", "POST", "/edges/batch", nineEdges, http.StatusRequestEntityTooLarge, codeTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

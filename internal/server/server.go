@@ -16,7 +16,7 @@
 //	                                   a replica is not yet synced)
 //	POST /edges/insert               — body: "u v" per line; one batch
 //	POST /edges/delete               — body: "u v" per line; one batch
-//	POST /edges/batch                — JSON mixed batch (see batchRequest)
+//	POST /edges/batch                — JSON mixed batch (see below)
 //	POST /snapshot                   — trigger a durability snapshot
 //
 // Every error path answers with one structured JSON shape,
@@ -24,6 +24,26 @@
 // its own overload protection (per-client rate limiting, per-request
 // deadlines, a max-in-flight gate on the heavy endpoints, panic
 // isolation) — see middleware.go.
+//
+// # Update batches
+//
+// The body of POST /edges/batch is one JSON object with an insertion and a
+// deletion list, either of which may be omitted:
+//
+//	{"insert":[{"u":0,"v":1},{"u":1,"v":2}],"delete":[{"u":2,"v":3}]}
+//
+// Vertex ids are non-negative integers below the vertex count, written
+// without sign, fraction or exponent. Unknown fields are rejected, and so
+// is anything but whitespace after the object. The body is read in one
+// pass (batch.go), and accepts what encoding/json accepts for this schema:
+// keys match case-insensitively, the last of repeated keys wins, null
+// empties a list, and null for an edge or an id counts as omitted. The
+// insertions then the deletions are applied as one update call
+// (kcore.Decomposition.Update). The reply is
+// {"inserted":i,"deleted":d,"batch":e}, where e is the epoch the call
+// committed, and /edges/insert and /edges/delete reply
+// {"applied":n,"batch":e} the same way: a read with min_epoch=e sees the
+// update.
 //
 // # Replication
 //
@@ -290,7 +310,7 @@ func (s *Server) InsertBatch(edges []graph.Edge) int {
 }
 
 // toEdges copies parsed edges into the library's edge type.
-func toEdges[E graph.Edge | batchEdge](in []E) []kcore.Edge {
+func toEdges(in []graph.Edge) []kcore.Edge {
 	out := make([]kcore.Edge, len(in))
 	for i, e := range in {
 		out[i] = kcore.Edge(e)
@@ -774,30 +794,16 @@ func (s *Server) handleUpdate(insert bool) http.HandlerFunc {
 			}
 		}
 		var applied int
+		var epoch uint64
 		if insert {
-			applied = s.d.InsertEdges(toEdges(edges))
+			applied, _, epoch = s.d.Update(toEdges(edges), nil)
 			s.inserted.Add(int64(applied))
 		} else {
-			applied = s.d.DeleteEdges(toEdges(edges))
+			_, applied, epoch = s.d.Update(nil, toEdges(edges))
 			s.deleted.Add(int64(applied))
 		}
-		writeJSON(w, updateResponse{Applied: applied, Batch: s.d.Epoch()})
+		writeJSON(w, updateResponse{Applied: applied, Batch: epoch})
 	}
-}
-
-// batchEdge is one edge of a JSON batch request. Its tags let
-// encoding/json match "u" and "v" exactly; decoding into the untagged
-// kcore.Edge would fall back to case-folded matching on every key.
-type batchEdge struct {
-	U uint32 `json:"u"`
-	V uint32 `json:"v"`
-}
-
-// batchRequest is the JSON body of POST /edges/batch: a mixed batch of
-// insertions and deletions applied as one engine submission.
-type batchRequest struct {
-	Insert []batchEdge `json:"insert"`
-	Delete []batchEdge `json:"delete"`
 }
 
 // batchResponse is the JSON body of the batch endpoint.
@@ -807,58 +813,51 @@ type batchResponse struct {
 	Batch    uint64 `json:"batch"`
 }
 
-// validateBatch checks a batch request against the vertex range and size
-// limit. It returns an HTTP status and error for invalid batches.
-func (s *Server) validateBatch(req *batchRequest) (int, error) {
-	total := len(req.Insert) + len(req.Delete)
-	if total == 0 {
-		return http.StatusBadRequest, errors.New("empty batch: need at least one edge in insert or delete")
-	}
-	if total > s.maxBatchEdges {
-		return http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d edges exceeds limit %d", total, s.maxBatchEdges)
-	}
-	n := uint32(s.d.NumVertices())
-	for _, list := range [][]batchEdge{req.Insert, req.Delete} {
-		for _, e := range list {
-			if e.U >= n || e.V >= n {
-				return http.StatusBadRequest,
-					fmt.Errorf("vertex out of range: edge (%d,%d), have %d vertices", e.U, e.V, n)
-			}
-		}
-	}
-	return http.StatusOK, nil
-}
+// batchBodyLimit bounds a /edges/batch body, so that the edge-count limit
+// also bounds memory: an edge object is well under 64 bytes of JSON.
+func (s *Server) batchBodyLimit() int64 { return int64(s.maxBatchEdges)*64 + 4096 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	// Bound the body before decoding so the edge-count limit also bounds
-	// memory: an edge object is well under 64 bytes of JSON.
-	body := http.MaxBytesReader(w, r.Body, int64(s.maxBatchEdges)*64+4096)
-	var req batchRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	limit := s.batchBodyLimit()
+	data, err := readRequestBody(r, http.MaxBytesReader(w, r.Body, limit), limit)
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
 				fmt.Sprintf("batch body exceeds %d bytes", tooLarge.Limit))
 			return
 		}
+		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("reading batch body: %v", err))
+		return
+	}
+	b, err := decodeBatch(data, s.maxBatchEdges)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad batch JSON: %v", err))
 		return
 	}
-	if status, err := s.validateBatch(&req); err != nil {
-		code := codeBadRequest
-		if status == http.StatusRequestEntityTooLarge {
-			code = codeTooLarge
-		}
-		writeError(w, status, code, err.Error())
+	switch total := b.nIns + b.nDel; {
+	case total == 0:
+		writeError(w, http.StatusBadRequest, codeBadRequest, "empty batch: need at least one edge in insert or delete")
+		return
+	case total > s.maxBatchEdges:
+		writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
+			fmt.Sprintf("batch of %d edges exceeds limit %d", total, s.maxBatchEdges))
 		return
 	}
-	ins, del := s.d.ApplyBatch(toEdges(req.Insert), toEdges(req.Delete))
+	n := uint32(s.d.NumVertices())
+	for _, list := range [][]kcore.Edge{b.ins, b.del} {
+		for _, e := range list {
+			if e.U >= n || e.V >= n {
+				writeError(w, http.StatusBadRequest, codeBadRequest,
+					fmt.Sprintf("vertex out of range: edge (%d,%d), have %d vertices", e.U, e.V, n))
+				return
+			}
+		}
+	}
+	ins, del, epoch := s.d.Update(b.ins, b.del)
 	s.inserted.Add(int64(ins))
 	s.deleted.Add(int64(del))
-	writeJSON(w, batchResponse{Inserted: ins, Deleted: del, Batch: s.d.Epoch()})
+	writeJSON(w, batchResponse{Inserted: ins, Deleted: del, Batch: epoch})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -358,6 +358,121 @@ func TestEpochFieldsReported(t *testing.T) {
 	}
 }
 
+// TestUpdateReplyEpochViews: every update reply carries the epoch its own
+// call committed. Writers of disjoint batches post at once through the
+// three update endpoints, each batch a clique put in or taken out. Every
+// reply epoch is distinct, the view at it shows the batch applied, and the
+// view one epoch earlier does not.
+func TestUpdateReplyEpochViews(t *testing.T) {
+	const writers, rounds, m = 4, 8, 10
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			n := writers*rounds*m + 1 // the last vertex stays isolated
+			s, err := New(n, lds.DefaultParams(), WithShards(shards), WithRetainedEpochs(4*writers*rounds*shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(ts.Close)
+
+			type reply struct {
+				clique int // the clique's first vertex
+				insert bool
+				epoch  uint64
+			}
+			replies := make([][]reply, writers)
+			errs := make(chan error, writers)
+			var wg sync.WaitGroup
+			for w := range writers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for r := range rounds {
+						first := (w*rounds + r) * m
+						var lines, objs []string
+						for a := first; a < first+m; a++ {
+							for b := a + 1; b < first+m; b++ {
+								lines = append(lines, fmt.Sprintf("%d %d\n", a, b))
+								objs = append(objs, fmt.Sprintf(`{"u":%d,"v":%d}`, a, b))
+							}
+						}
+						// The insertion and the deletion each take the JSON
+						// or the text endpoint, alternately.
+						list := "[" + strings.Join(objs, ",") + "]"
+						text := strings.Join(lines, "")
+						steps := []struct {
+							path, body string
+							insert     bool
+						}{{"/edges/batch", `{"insert":` + list + `}`, true}, {"/edges/delete", text, false}}
+						if r%2 == 1 {
+							steps[0].path, steps[0].body = "/edges/insert", text
+							steps[1].path, steps[1].body = "/edges/batch", `{"delete":`+list+`}`
+						}
+						for _, st := range steps {
+							resp, err := http.Post(ts.URL+st.path, "application/json", strings.NewReader(st.body))
+							if err != nil {
+								errs <- err
+								return
+							}
+							var rep struct {
+								Applied, Inserted, Deleted int
+								Batch                      uint64
+							}
+							err = json.NewDecoder(resp.Body).Decode(&rep)
+							resp.Body.Close()
+							if applied := rep.Applied + rep.Inserted + rep.Deleted; err != nil || resp.StatusCode != http.StatusOK || applied != len(lines) {
+								errs <- fmt.Errorf("%s: status %d, %d of %d edges applied, %v", st.path, resp.StatusCode, applied, len(lines), err)
+								return
+							}
+							replies[w] = append(replies[w], reply{first, st.insert, rep.Batch})
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+
+			seen := map[uint64]reply{}
+			for _, rs := range replies {
+				for _, rp := range rs {
+					if other, dup := seen[rp.epoch]; dup {
+						t.Fatalf("batches at vertex %d and %d both replied epoch %d", other.clique, rp.clique, rp.epoch)
+					}
+					seen[rp.epoch] = rp
+				}
+			}
+			// applied reports whether the view at epoch shows the clique
+			// in (or out, for a deletion) on every one of its vertices.
+			d := s.Decomposition()
+			applied := func(rp reply, epoch uint64) bool {
+				v, err := d.ViewAt(epoch)
+				if err != nil {
+					t.Fatalf("view at epoch %d: %v", epoch, err)
+				}
+				isolated := v.Coreness(uint32(n - 1))
+				for u := rp.clique; u < rp.clique+m; u++ {
+					if (v.Coreness(uint32(u)) > isolated) != rp.insert {
+						return false
+					}
+				}
+				return true
+			}
+			for e, rp := range seen {
+				if !applied(rp, e) {
+					t.Errorf("view at reply epoch %d does not show the batch at vertex %d (insert %v) applied", e, rp.clique, rp.insert)
+				}
+				if applied(rp, e-1) {
+					t.Errorf("view at epoch %d, before reply epoch %d, already shows the batch at vertex %d (insert %v) applied", e-1, e, rp.clique, rp.insert)
+				}
+			}
+		})
+	}
+}
+
 func TestConcurrentReadsDuringUpdates(t *testing.T) {
 	ts := newTestServer(t)
 	var wg sync.WaitGroup

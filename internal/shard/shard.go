@@ -503,20 +503,22 @@ func (e *Engine) UnpinEpoch(epoch uint64) {
 // Insert submits a batch of insertions and returns the number of edges
 // actually added. Safe for concurrent callers.
 func (e *Engine) Insert(edges []graph.Edge) int {
-	ins, _ := e.Apply(edges, nil)
+	ins, _, _ := e.Apply(edges, nil)
 	return ins
 }
 
 // Delete submits a batch of deletions and returns the number of edges
 // actually removed. Safe for concurrent callers.
 func (e *Engine) Delete(edges []graph.Edge) int {
-	_, del := e.Apply(nil, edges)
+	_, del, _ := e.Apply(nil, edges)
 	return del
 }
 
 // Apply submits a mixed batch and returns the number of edges this call
-// actually inserted into and deleted from the global graph. Safe for
-// concurrent callers, which apply one after another.
+// actually inserted into and deleted from the global graph, and the epoch
+// committed when it finished: read before the update lock is released, so
+// no later call has moved it. Safe for concurrent callers, which apply one
+// after another.
 //
 // Every touched shard runs the call's insertions as one CPLDS batch and
 // then its deletions as another (see applyRound), so an edge in both lists
@@ -524,10 +526,11 @@ func (e *Engine) Delete(edges []graph.Edge) int {
 // its shard's graph commits an epoch: a call that changes nothing (empty
 // lists, self-loops, out-of-range endpoints, present edges re-inserted,
 // absent ones deleted) commits, logs and publishes nothing.
-func (e *Engine) Apply(insertions, deletions []graph.Edge) (inserted, deleted int) {
+func (e *Engine) Apply(insertions, deletions []graph.Edge) (inserted, deleted int, epoch uint64) {
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
-	return e.applyLocked(insertions, deletions)
+	inserted, deleted = e.applyLocked(insertions, deletions)
+	return inserted, deleted, e.Epoch()
 }
 
 // RemoveVertex deletes every edge incident to v in one call and returns the

@@ -84,7 +84,7 @@ func TestSingleShardMatchesCPLDS(t *testing.T) {
 	got, ref := make([]int32, n), make([]int32, n)
 	step := func(ins, del []graph.Edge) {
 		t.Helper()
-		gi, gd := e.Apply(ins, del)
+		gi, gd, _ := e.Apply(ins, del)
 		var wi, wd int
 		if len(ins) > 0 {
 			wi = c.InsertBatch(ins)
@@ -196,7 +196,7 @@ func TestApplyDedupesInsertDeletePairs(t *testing.T) {
 	// Same edge inserted and deleted in one submission: as at P = 1 (see
 	// TestSingleShardMatchesCPLDS), the insertion sub-batch adds it and the
 	// deletion sub-batch removes it, counting on both sides.
-	ins, del := e.Apply([]graph.Edge{{U: 1, V: 2}}, []graph.Edge{{U: 2, V: 1}})
+	ins, del, _ := e.Apply([]graph.Edge{{U: 1, V: 2}}, []graph.Edge{{U: 2, V: 1}})
 	if ins != 1 || del != 1 {
 		t.Fatalf("insert+delete of absent edge applied (%d,%d), want (1,1)", ins, del)
 	}
@@ -206,7 +206,7 @@ func TestApplyDedupesInsertDeletePairs(t *testing.T) {
 
 	// Present edge: the insertion is a no-op and the deletion removes it.
 	e.Insert([]graph.Edge{{U: 1, V: 2}})
-	ins, del = e.Apply([]graph.Edge{{U: 1, V: 2}}, []graph.Edge{{U: 1, V: 2}})
+	ins, del, _ = e.Apply([]graph.Edge{{U: 1, V: 2}}, []graph.Edge{{U: 1, V: 2}})
 	if ins != 0 || del != 1 {
 		t.Fatalf("insert+delete of present edge applied (%d,%d), want (0,1)", ins, del)
 	}
@@ -282,8 +282,8 @@ func TestApplySameAtEveryShardCount(t *testing.T) {
 			ins = append(ins, ins[1]) // duplicate
 		}
 		ep1, ep3, st1, st3, logged := one.Epoch(), three.Epoch(), one.Stats(), three.Stats(), len(records)
-		i1, d1 := one.Apply(ins, del)
-		i3, d3 := three.Apply(ins, del)
+		i1, d1, _ := one.Apply(ins, del)
+		i3, d3, _ := three.Apply(ins, del)
 		sub1, _ := changed(st1, one.Stats())
 		sub3, rounds3 := changed(st3, three.Stats())
 		if one.Epoch() != ep1+sub1 || three.Epoch() != ep3+sub3 {

@@ -682,8 +682,19 @@ func (d *Decomposition) DeleteEdges(edges []Edge) int {
 // changed the graph (per shard, when sharded), and none otherwise. The
 // semantics and the counts are the same at every shard count.
 func (d *Decomposition) ApplyBatch(insertions, deletions []Edge) (inserted, deleted int) {
+	inserted, deleted, _ = d.Update(insertions, deletions)
+	return inserted, deleted
+}
+
+// Update is ApplyBatch that also returns the epoch committed when the call
+// finished. It is read under the engine's update lock, so no concurrent
+// update has moved it yet: a view at that epoch shows this call's edges
+// applied, and a call that commits returns an epoch no other call returns.
+// A call that changes nothing returns the epoch current at the time; on a
+// replication follower it is a no-op returning that epoch.
+func (d *Decomposition) Update(insertions, deletions []Edge) (inserted, deleted int, epoch uint64) {
 	if d.ReadOnly() {
-		return 0, 0
+		return 0, 0, d.Epoch()
 	}
 	return d.eng.Apply(toInternal(insertions), toInternal(deletions))
 }
